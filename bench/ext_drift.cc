@@ -72,7 +72,11 @@ std::vector<ServerMovieSpec> BaseMovies() {
         std::llround(std::max(1.0, kStreamBudget * share)));
     const auto layout = PartitionLayout::FromMaxWait(kLength, streams, kWait);
     VOD_CHECK_OK(layout.status());
-    movies.push_back({"m" + std::to_string(i), *layout, kTotalRate * share,
+    // Appended, not "m" + to_string(i): GCC 12 at -O3 reports a false
+    // -Wrestrict inside std::string::insert for the latter.
+    std::string name = "m";
+    name += std::to_string(i);
+    movies.push_back({std::move(name), *layout, kTotalRate * share,
                       /*arrivals=*/nullptr, behavior});
   }
   return movies;

@@ -1,26 +1,12 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
-#include <bit>
 #include <limits>
-#include <numeric>
-#include <string>
 
 #include "common/check.h"
-#include "common/serialize.h"
 
 namespace vod {
 
 namespace {
-
-// First word of a current-format snapshot. Its bit pattern is a NaN, and the
-// PR 3 layout opened with the clock double (never NaN), so one u64 read
-// distinguishes the formats.
-constexpr uint64_t kSnapshotMagicV2 = 0xFFF7'4551'4232'0002ULL;
-
-// Largest slot index a snapshot may reference; rejects corrupt blobs before
-// they size the slab (real peaks are orders of magnitude below this).
-constexpr uint64_t kMaxRestoreSlot = 1ULL << 26;
 
 // Trampoline for the std::function handler compatibility overload.
 void BoxedHandlerTrampoline(void* ctx, uint64_t payload) {
@@ -43,16 +29,7 @@ uint64_t EventQueue::AddHandler(Handler handler) {
 uint64_t EventQueue::AddHandler(RawHandler fn, void* ctx) {
   VOD_CHECK_MSG(fn != nullptr, "event handler must be callable");
   handlers_.push_back(HandlerRec{fn, ctx});
-  batch_.push_back(BatchRec{});  // keep the batch table parallel
   return handlers_.size() - 1;
-}
-
-void EventQueue::AddBatchHandler(uint64_t kind, BatchHandler fn, void* ctx) {
-  VOD_CHECK_MSG(kind < handlers_.size(),
-                "batch handler requires a registered scalar kind");
-  VOD_CHECK_MSG(fn != nullptr, "batch handler must be callable");
-  batch_[kind] = BatchRec{fn, ctx};
-  have_batch_ = true;
 }
 
 void EventQueue::set_observer(std::function<void(double)> observer) {
@@ -86,7 +63,7 @@ uint32_t EventQueue::AllocSlot() {
 
 void EventQueue::FreeSlot(uint32_t slot) {
   Slot& s = slots_[slot];
-  if (s.kind & kHasActionBit) {
+  if (s.kind == kClosure) {
     actions_[slot] = nullptr;  // release any captured state promptly
   }
   s.gen = kFreeGen;
@@ -94,13 +71,7 @@ void EventQueue::FreeSlot(uint32_t slot) {
   free_head_ = slot;
 }
 
-void EventQueue::EnsureActionCapacity(uint32_t slot) {
-  if (actions_.size() <= slot) actions_.resize(slots_.size());
-}
-
-EventToken EventQueue::ScheduleSlot(double time, uint64_t kind,
-                                    uint64_t payload,
-                                    std::function<void()> action) {
+EventToken EventQueue::Enqueue(double time, uint64_t kind, uint64_t payload) {
   VOD_CHECK_MSG(time >= now_, "cannot schedule an event in the past");
   if (next_gen_ == kFreeGen) next_gen_ = 0;  // skip the free sentinel on wrap
   const uint32_t gen = next_gen_++;
@@ -109,8 +80,6 @@ EventToken EventQueue::ScheduleSlot(double time, uint64_t kind,
   s.gen = gen;
   s.kind = kind;
   s.payload = payload;
-  EnsureActionCapacity(slot);
-  actions_[slot] = std::move(action);
   PushKey(HeapKey{time, gen, slot});
   ++live_;
   return (static_cast<uint64_t>(gen) << 32) | slot;
@@ -118,35 +87,18 @@ EventToken EventQueue::ScheduleSlot(double time, uint64_t kind,
 
 EventToken EventQueue::ScheduleHandler(double time, uint64_t kind,
                                        uint64_t payload) {
+  // Steady-state fast path: the side action column is never touched, so
+  // this never constructs, moves, or destroys a std::function.
   VOD_CHECK_MSG(kind < handlers_.size(), "unregistered event handler kind");
-  VOD_CHECK_MSG(time >= now_, "cannot schedule an event in the past");
-  // Steady-state fast path: identical to ScheduleSlot minus the action —
-  // the side action column is never touched, so this never constructs,
-  // moves, or destroys a std::function.
-  if (next_gen_ == kFreeGen) next_gen_ = 0;
-  const uint32_t gen = next_gen_++;
-  const uint32_t slot = AllocSlot();
-  Slot& s = slots_[slot];
-  s.gen = gen;
-  s.kind = kind;
-  s.payload = payload;
-  PushKey(HeapKey{time, gen, slot});
-  ++live_;
-  return (static_cast<uint64_t>(gen) << 32) | slot;
+  return Enqueue(time, kind, payload);
 }
 
 EventToken EventQueue::Schedule(double time, std::function<void()> action) {
-  // kUntagged carries kHasActionBit (it is all-ones).
-  return ScheduleSlot(time, kUntagged, 0, std::move(action));
-}
-
-EventToken EventQueue::ScheduleTagged(double time, uint64_t kind,
-                                      uint64_t payload,
-                                      std::function<void()> action) {
-  // The tag must leave bit 63 free for the action marker and must not
-  // collide with kUntagged once the marker is set.
-  VOD_CHECK_MSG(kind < kHasActionBit - 1, "reserved event kind");
-  return ScheduleSlot(time, kind | kHasActionBit, payload, std::move(action));
+  const EventToken token = Enqueue(time, kClosure, 0);
+  const uint32_t slot = static_cast<uint32_t>(token);
+  if (actions_.size() <= slot) actions_.resize(slots_.size());
+  actions_[slot] = std::move(action);
+  return token;
 }
 
 void EventQueue::Cancel(EventToken token) {
@@ -165,16 +117,6 @@ void EventQueue::Cancel(EventToken token) {
   if (tombstones_ > heap_.size() / 2 && heap_.size() > 64) CompactHeap();
 }
 
-void EventQueue::AppendUnsifted(HeapKey key) {
-  if (heap_.size() == 1) {
-    // Crossing one element: insert the dead pads so level-1 starts at
-    // index 4 (one cache line per sibling group; see HeapChild).
-    heap_.resize(1 + kHeapPads,
-                 HeapKey{std::numeric_limits<double>::infinity(), 0, 0});
-  }
-  heap_.push_back(key);
-}
-
 void EventQueue::HeapifyAll() {
   // In the aligned layout children always sit at higher indices than their
   // parent, so one descending SiftDown pass over the internal nodes (every
@@ -188,7 +130,13 @@ void EventQueue::HeapifyAll() {
 }
 
 void EventQueue::PushKey(HeapKey key) {
-  AppendUnsifted(key);
+  if (heap_.size() == 1) {
+    // Crossing one element: insert the dead pads so level-1 starts at
+    // index 4 (one cache line per sibling group; see HeapChild).
+    heap_.resize(1 + kHeapPads,
+                 HeapKey{std::numeric_limits<double>::infinity(), 0, 0});
+  }
+  heap_.push_back(key);
   SiftUp(heap_.size() - 1);
 }
 
@@ -282,11 +230,11 @@ void EventQueue::ExecuteHead(const HeapKey& head) {
   const uint64_t kind = s.kind;
   const uint64_t payload = s.payload;
   std::function<void()> action;
-  if (kind & kHasActionBit) action = std::move(actions_[head.slot]);
+  if (kind == kClosure) action = std::move(actions_[head.slot]);
   FreeSlot(head.slot);  // before dispatch: the action may reuse the slot
   --live_;
   now_ = head.time;
-  if (kind & kHasActionBit) {
+  if (kind == kClosure) {
     action();
   } else {
     const HandlerRec h = handlers_[kind];
@@ -311,56 +259,6 @@ bool EventQueue::RunNext() {
 }
 
 template <bool kObserved>
-void EventQueue::RunBatchHead(HeapKey head, uint64_t kind) {
-  // Extraction is safe for byte-identity precisely because the run shares
-  // one timestamp: any event a handler schedules during the run gets a
-  // strictly higher generation than every extracted entry, so the scalar
-  // loop would also have executed it after the whole run (DESIGN.md §15).
-  const double t = head.time;
-  run_buf_.clear();
-  for (;;) {
-    PopRoot();
-    Slot& s = slots_[head.slot];
-    run_buf_.push_back(RunEvent{t, s.payload});
-    // Inline slot free: run members are handler events, never closures,
-    // so the side action column is untouched.
-    s.gen = kFreeGen;
-    s.next_free = free_head_;
-    free_head_ = head.slot;
-    --live_;
-    // Advance to the next live root; the run ends on a time or kind
-    // change. Tombstones are discarded exactly where the scalar loop
-    // would have discarded them.
-    bool extend = false;
-    while (!heap_.empty()) {
-      const HeapKey next = heap_.front();
-      const Slot& ns = slots_[next.slot];
-      if (ns.gen != next.gen) {
-        PopRoot();
-        --tombstones_;
-        continue;
-      }
-      if (next.time == t && ns.kind == kind) {
-        head = next;
-        extend = true;
-      }
-      break;
-    }
-    if (!extend) break;
-  }
-  now_ = t;
-  const BatchRec rec = batch_[kind];
-  rec.fn(rec.ctx, std::span<const RunEvent>(run_buf_.data(), run_buf_.size()));
-  executed_ += run_buf_.size();
-  if constexpr (kObserved) {
-    // Per-event cadence is preserved: the observer fires once per run
-    // member, at the settled post-run state (all at the shared timestamp).
-    const size_t n = run_buf_.size();
-    for (size_t i = 0; i < n; ++i) observer_fn_(observer_ctx_, t);
-  }
-}
-
-template <bool kObserved, bool kBatched>
 void EventQueue::RunLoop(double horizon) {
   while (!heap_.empty()) {
     const HeapKey head = heap_.front();
@@ -372,19 +270,13 @@ void EventQueue::RunLoop(double horizon) {
     }
     if (head.time > horizon) break;
     const uint64_t kind = s.kind;
-    if (kind & kHasActionBit) {
-      // Closure event (faults, timers, tests): cold path, scalar dispatch;
-      // ExecuteHead fires the observer itself.
+    if (kind == kClosure) {
+      // Closure event (faults, timers, tests): cold path; ExecuteHead fires
+      // the observer itself.
       ExecuteHead(head);
       continue;
     }
-    if constexpr (kBatched) {
-      if (batch_[kind].fn != nullptr) {
-        RunBatchHead<kObserved>(head, kind);
-        continue;
-      }
-    }
-    // Scalar handler dispatch, inlined (no action column, no std::function).
+    // Handler dispatch, inlined (no action column, no std::function).
     PopRoot();
     const uint64_t payload = s.payload;
     s.gen = kFreeGen;
@@ -404,246 +296,11 @@ void EventQueue::RunLoop(double horizon) {
 }
 
 void EventQueue::RunUntil(double horizon) {
-  const bool batched = have_batch_ && !scalar_dispatch_;
   if (observer_fn_ != nullptr) {
-    batched ? RunLoop<true, true>(horizon) : RunLoop<true, false>(horizon);
+    RunLoop<true>(horizon);
   } else {
-    batched ? RunLoop<false, true>(horizon) : RunLoop<false, false>(horizon);
+    RunLoop<false>(horizon);
   }
-}
-
-Status EventQueue::Snapshot(ByteWriter* out) const {
-  // Collect the live keys and order them deterministically; the heap's
-  // internal array order depends on the push/pop history.
-  std::vector<HeapKey> pending_keys;
-  pending_keys.reserve(live_);
-  for (size_t i = 0; i < heap_.size(); ++i) {
-    if (IsHeapPad(i)) continue;
-    const HeapKey& key = heap_[i];
-    const Slot& s = slots_[key.slot];
-    if (s.gen != key.gen) continue;  // tombstone: will never run
-    if (s.kind == kUntagged) {
-      return Status::NotSupported(
-          "event queue holds an untagged event (seq " +
-          std::to_string(key.gen) + ", t=" + std::to_string(key.time) +
-          "); only tagged or handler events can be snapshotted");
-    }
-    pending_keys.push_back(key);
-  }
-  std::sort(pending_keys.begin(), pending_keys.end(), RunsBefore);
-
-  out->PutU64(kSnapshotMagicV2);
-  out->PutDouble(now_);
-  out->PutU64(next_gen_);
-  out->PutU64(executed_);
-  out->PutU64(pending_keys.size());
-  for (const HeapKey& key : pending_keys) {
-    const Slot& s = slots_[key.slot];
-    out->PutDouble(key.time);
-    out->PutU64((static_cast<uint64_t>(key.gen) << 32) | key.slot);
-    out->PutU64(s.kind & ~kHasActionBit);  // the marker is in-memory only
-    out->PutU64(s.payload);
-  }
-  return Status::OK();
-}
-
-struct EventQueue::PendingRestore {
-  double time = 0.0;
-  uint32_t gen = 0;
-  uint32_t slot = 0;
-  uint64_t kind = 0;
-  uint64_t payload = 0;
-  std::function<void()> action;  ///< empty when a registered handler serves
-};
-
-void EventQueue::CommitRestore(double now, uint32_t next_gen,
-                               uint64_t executed,
-                               std::vector<PendingRestore> entries) {
-  now_ = now;
-  next_gen_ = next_gen;
-  executed_ = executed;
-  heap_.clear();
-  slots_.clear();
-  actions_.clear();
-  free_head_ = kNilSlot;
-  tombstones_ = 0;
-  uint32_t max_slot = 0;
-  for (const PendingRestore& entry : entries) {
-    max_slot = std::max(max_slot, entry.slot);
-  }
-  slots_.resize(entries.empty() ? 0 : static_cast<size_t>(max_slot) + 1);
-  heap_.reserve(entries.size() + kHeapPads);
-  for (PendingRestore& entry : entries) {
-    Slot& s = slots_[entry.slot];
-    s.gen = entry.gen;
-    s.payload = entry.payload;
-    if (entry.action) {
-      s.kind = entry.kind | kHasActionBit;
-      EnsureActionCapacity(entry.slot);
-      actions_[entry.slot] = std::move(entry.action);
-    } else {
-      s.kind = entry.kind;
-    }
-    AppendUnsifted(HeapKey{entry.time, entry.gen, entry.slot});
-  }
-  // Unoccupied slots join the free list lowest-index-first, keeping token
-  // assignment after a restore deterministic.
-  for (size_t i = slots_.size(); i-- > 0;) {
-    if (slots_[i].gen == kFreeGen) {
-      slots_[i].next_free = free_head_;
-      free_head_ = static_cast<uint32_t>(i);
-    }
-  }
-  live_ = entries.size();
-  HeapifyAll();
-}
-
-Status EventQueue::Restore(ByteReader* in, const ActionFactory& factory) {
-  if (!heap_.empty() || live_ != 0) {
-    return Status::InvalidArgument(
-        "event queue restore requires an empty queue");
-  }
-  uint64_t first_word;
-  VOD_RETURN_IF_ERROR(in->ReadU64(&first_word));
-  if (first_word == kSnapshotMagicV2) return RestoreV2(in, factory);
-  // PR 3-era layout: the first word is the clock's IEEE bit pattern.
-  const double now = std::bit_cast<double>(first_word);
-  uint64_t next_seq, executed, count;
-  VOD_RETURN_IF_ERROR(in->ReadU64(&next_seq));
-  VOD_RETURN_IF_ERROR(in->ReadU64(&executed));
-  VOD_RETURN_IF_ERROR(in->ReadU64(&count));
-
-  struct V1Entry {
-    double time;
-    uint64_t seq;
-    uint64_t kind;
-    uint64_t payload;
-  };
-  std::vector<V1Entry> raw;
-  raw.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    V1Entry entry;
-    VOD_RETURN_IF_ERROR(in->ReadDouble(&entry.time));
-    VOD_RETURN_IF_ERROR(in->ReadU64(&entry.seq));
-    VOD_RETURN_IF_ERROR(in->ReadU64(&entry.kind));
-    VOD_RETURN_IF_ERROR(in->ReadU64(&entry.payload));
-    if (!(entry.time >= now)) {
-      return Status::InvalidArgument(
-          "event queue snapshot corrupt: entry at t=" +
-          std::to_string(entry.time) + " precedes the snapshot clock t=" +
-          std::to_string(now));
-    }
-    if (entry.seq >= next_seq) {
-      return Status::InvalidArgument(
-          "event queue snapshot corrupt: entry seq " +
-          std::to_string(entry.seq) + " >= sequence counter " +
-          std::to_string(next_seq));
-    }
-    raw.push_back(entry);
-  }
-
-  // The old format ordered by a 64-bit sequence; generations replicate that
-  // order by ranking the stored sequences. (Old token values are seq-based
-  // and are not honored after a cross-format restore.)
-  std::vector<size_t> by_seq(raw.size());
-  std::iota(by_seq.begin(), by_seq.end(), size_t{0});
-  std::sort(by_seq.begin(), by_seq.end(), [&raw](size_t a, size_t b) {
-    return raw[a].seq < raw[b].seq;
-  });
-  std::vector<PendingRestore> entries(raw.size());
-  for (size_t rank = 0; rank < by_seq.size(); ++rank) {
-    const V1Entry& src = raw[by_seq[rank]];
-    PendingRestore& dst = entries[by_seq[rank]];
-    dst.time = src.time;
-    dst.gen = static_cast<uint32_t>(rank);
-    dst.slot = static_cast<uint32_t>(rank);
-    dst.kind = src.kind;
-    dst.payload = src.payload;
-    if (!(src.kind < handlers_.size() && handlers_[src.kind].fn != nullptr)) {
-      dst.action = factory(src.kind, src.payload, src.time);
-      if (!dst.action) {
-        return Status::InvalidArgument(
-            "event queue restore: factory rejected event kind " +
-            std::to_string(src.kind));
-      }
-    }
-  }
-  // Evaluated before the move below — argument order is unspecified.
-  const uint32_t restored_gen = static_cast<uint32_t>(entries.size());
-  CommitRestore(now, restored_gen, executed, std::move(entries));
-  return Status::OK();
-}
-
-Status EventQueue::RestoreV2(ByteReader* in, const ActionFactory& factory) {
-  double now;
-  uint64_t next_gen, executed, count;
-  VOD_RETURN_IF_ERROR(in->ReadDouble(&now));
-  VOD_RETURN_IF_ERROR(in->ReadU64(&next_gen));
-  VOD_RETURN_IF_ERROR(in->ReadU64(&executed));
-  VOD_RETURN_IF_ERROR(in->ReadU64(&count));
-  if (next_gen > kFreeGen) {
-    return Status::InvalidArgument(
-        "event queue snapshot corrupt: generation counter " +
-        std::to_string(next_gen) + " out of range");
-  }
-
-  std::vector<PendingRestore> entries;
-  entries.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    PendingRestore entry;
-    uint64_t token, kind;
-    VOD_RETURN_IF_ERROR(in->ReadDouble(&entry.time));
-    VOD_RETURN_IF_ERROR(in->ReadU64(&token));
-    VOD_RETURN_IF_ERROR(in->ReadU64(&kind));
-    VOD_RETURN_IF_ERROR(in->ReadU64(&entry.payload));
-    entry.gen = static_cast<uint32_t>(token >> 32);
-    entry.slot = static_cast<uint32_t>(token);
-    entry.kind = kind;
-    if (!(entry.time >= now)) {
-      return Status::InvalidArgument(
-          "event queue snapshot corrupt: entry at t=" +
-          std::to_string(entry.time) + " precedes the snapshot clock t=" +
-          std::to_string(now));
-    }
-    if (entry.gen == kFreeGen || entry.gen >= next_gen) {
-      return Status::InvalidArgument(
-          "event queue snapshot corrupt: entry seq " +
-          std::to_string(entry.gen) + " >= sequence counter " +
-          std::to_string(next_gen));
-    }
-    if (entry.slot >= kMaxRestoreSlot) {
-      return Status::InvalidArgument(
-          "event queue snapshot corrupt: slot " +
-          std::to_string(entry.slot) + " is implausibly large");
-    }
-    if (!(kind < handlers_.size() && handlers_[kind].fn != nullptr)) {
-      entry.action = factory(kind, entry.payload, entry.time);
-      if (!entry.action) {
-        return Status::InvalidArgument(
-            "event queue restore: factory rejected event kind " +
-            std::to_string(kind));
-      }
-    }
-    entries.push_back(std::move(entry));
-  }
-  // Reject blobs that map two events to one slot — tokens would alias.
-  std::vector<PendingRestore*> by_slot;
-  by_slot.reserve(entries.size());
-  for (PendingRestore& entry : entries) by_slot.push_back(&entry);
-  std::sort(by_slot.begin(), by_slot.end(),
-            [](const PendingRestore* a, const PendingRestore* b) {
-              return a->slot < b->slot;
-            });
-  for (size_t i = 1; i < by_slot.size(); ++i) {
-    if (by_slot[i]->slot == by_slot[i - 1]->slot) {
-      return Status::InvalidArgument(
-          "event queue snapshot corrupt: duplicate slot " +
-          std::to_string(by_slot[i]->slot));
-    }
-  }
-  CommitRestore(now, static_cast<uint32_t>(next_gen), executed,
-                std::move(entries));
-  return Status::OK();
 }
 
 }  // namespace vod

@@ -1,6 +1,5 @@
-// Discrete-event simulation kernel: a future-event list with cancellation,
-// an execution observer (for runtime invariant auditing), and a tagged
-// snapshot/restore path (for crash-recoverable runs).
+// Discrete-event simulation kernel: a future-event list with cancellation
+// and an execution observer (for runtime invariant auditing).
 //
 // Internals are built for throughput: event payloads live in a slab of
 // generation-stamped 24-byte POD slots threaded by an intrusive free list,
@@ -11,12 +10,10 @@
 // remain supported for one-off events (fault injection, tests); their
 // std::function state lives in a side column touched only by that cold path.
 //
-// Round 2 (DESIGN.md §15) adds *run extraction*: when consecutive heap roots
-// share one kind and one timestamp, RunUntil pops the whole run and hands it
-// to a registered batch handler as a span of (time, payload) entries, so
-// dispatch indirection, liveness checks, and observer gating amortize over
-// the run. The run loop itself is a template instantiated with and without
-// an observer, so an unobserved run carries no per-event observer branch.
+// There is one dispatch loop, executing events strictly one at a time in
+// (time, insertion sequence) order. It is a template instantiated with and
+// without an observer, so an unobserved run carries no per-event observer
+// branch.
 
 #ifndef VOD_SIM_EVENT_QUEUE_H_
 #define VOD_SIM_EVENT_QUEUE_H_
@@ -26,15 +23,9 @@
 #include <functional>
 #include <memory>
 #include <new>
-#include <span>
 #include <vector>
 
-#include "common/status.h"
-
 namespace vod {
-
-class ByteWriter;
-class ByteReader;
 
 /// Handle identifying a scheduled event (for cancellation). Packs the slab
 /// slot index (low 32 bits) and the slot's generation stamp at schedule time
@@ -53,14 +44,6 @@ inline constexpr EventToken kNoEvent = ~EventToken{0};
 /// is discarded lazily at pop time — or eagerly, when tombstones come to
 /// dominate the heap (see CompactHeap), so cancel-heavy bursts cannot pin
 /// memory.
-///
-/// Closures are not serializable, so snapshotting works through *tags*: an
-/// event scheduled with ScheduleTagged or via a registered handler kind
-/// carries a (kind, payload) identity that Snapshot can persist and Restore
-/// can turn back into a runnable event — through the handler table when the
-/// kind is registered, else via a caller-supplied closure factory. Untagged
-/// events make the queue unsnapshottable (Snapshot reports which is fine for
-/// workloads that never checkpoint).
 class EventQueue {
  public:
   /// A steady-state event handler: receives the payload stamped at schedule
@@ -73,29 +56,12 @@ class EventQueue {
   /// and the owning object). The std::function overload boxes into this.
   using RawHandler = void (*)(void* ctx, uint64_t payload);
 
-  /// One entry of an extracted run, as handed to a batch handler. All
-  /// entries of one run share `time`; they are ordered by insertion
-  /// sequence, exactly as the scalar loop would have executed them.
-  struct RunEvent {
-    double time;
-    uint64_t payload;
-  };
-
-  /// A batch handler consumes a whole extracted run of same-kind,
-  /// same-timestamp events in one call. Contract (DESIGN.md §15): once
-  /// extraction begins the run is committed — the handler must not cancel
-  /// pending events of its own kind at the current timestamp (their slots
-  /// are already recycled; such a Cancel is a stale-token no-op, whereas
-  /// the scalar loop would have honored it). Cancelling any other event,
-  /// and scheduling new events, behaves identically to the scalar loop.
-  using BatchHandler = void (*)(void* ctx, std::span<const RunEvent> run);
-
   /// Observer in raw form; see set_observer.
   using RawObserver = void (*)(void* ctx, double time);
 
   /// Registers `handler` and returns its kind id. Kinds are assigned
   /// sequentially from 0 in registration order, so a deterministic
-  /// construction order yields deterministic (snapshottable) kinds.
+  /// construction order yields deterministic kinds.
   /// This overload boxes the std::function and dispatches it through a
   /// trampoline; the RawHandler overload below avoids even that.
   uint64_t AddHandler(Handler handler);
@@ -104,28 +70,13 @@ class EventQueue {
   /// the run loop with zero indirection beyond the table load.
   uint64_t AddHandler(RawHandler fn, void* ctx);
 
-  /// Attaches a batch handler to a registered kind. When the run loop finds
-  /// two or more (or even one) events of `kind` at the heap root sharing a
-  /// timestamp, it extracts the maximal run and calls `fn` once instead of
-  /// the scalar handler per event. The scalar handler registered for `kind`
-  /// still serves RunNext and non-batched loops, so both must implement
-  /// identical semantics (the differential tests pin this).
-  void AddBatchHandler(uint64_t kind, BatchHandler fn, void* ctx);
-
   /// Schedules the registered handler `kind` with `payload` at absolute time
-  /// `time` (>= Now()). The fast path: no allocation, snapshot-compatible.
+  /// `time` (>= Now()). The fast path: no allocation.
   EventToken ScheduleHandler(double time, uint64_t kind, uint64_t payload);
 
   /// Schedules `action` at absolute time `time` (>= Now()). Returns a token
-  /// usable with Cancel. Closure-only events cannot be snapshotted.
+  /// usable with Cancel.
   EventToken Schedule(double time, std::function<void()> action);
-
-  /// Schedules `action` with a serializable identity. `kind` names the
-  /// handler (a caller-defined enum), `payload` its argument (an entity id,
-  /// an encoded value, ...). Snapshot persists (time, kind, payload);
-  /// Restore rebuilds the closure from them.
-  EventToken ScheduleTagged(double time, uint64_t kind, uint64_t payload,
-                            std::function<void()> action);
 
   /// Pre-sizes the heap and slab for about `events` concurrently pending
   /// events, so a run that stays under the estimate never grows kernel
@@ -140,22 +91,15 @@ class EventQueue {
   void Cancel(EventToken token);
 
   /// Runs the earliest pending event, advancing Now(). Returns false when
-  /// the queue is empty. Always scalar — batch handlers never fire from
-  /// RunNext, so single-step drivers and tests see per-event granularity.
+  /// the queue is empty.
   bool RunNext();
 
   /// Runs events until the queue empties or the next event is after
-  /// `horizon`; Now() ends at min(horizon, last event time). Events at
-  /// exactly `horizon` are executed. Dispatches to one of four specialized
-  /// loop instantiations (observed × batched) selected once per call, so
-  /// the per-event path carries no observer or batching branches it does
-  /// not need.
+  /// `horizon`; Now() ends at max(horizon, last event time). Events at
+  /// exactly `horizon` are executed. Dispatches to the observed or the
+  /// unobserved loop instantiation, selected once per call, so the
+  /// per-event path carries no observer branch it does not need.
   void RunUntil(double horizon);
-
-  /// Forces RunUntil onto the scalar (non-batched) loop even when batch
-  /// handlers are registered. For differential testing: the property suite
-  /// pins scalar and batched runs byte-identical.
-  void set_scalar_dispatch(bool scalar) { scalar_dispatch_ = scalar; }
 
   /// Current simulation time (time of the last executed event).
   double Now() const { return now_; }
@@ -177,9 +121,8 @@ class EventQueue {
   /// Installs an observer invoked after each executed event with the event
   /// time (state is settled when it fires — the auditor's hook point).
   /// Pass an empty function to remove. The observer must not mutate the
-  /// queue beyond scheduling/cancelling (no nested RunNext); under batch
-  /// dispatch it fires once per event *after* the run settles, so it must
-  /// also not schedule new events (none of the in-tree observers do).
+  /// queue beyond scheduling/cancelling (no nested RunNext); whatever it
+  /// schedules orders after every event already pending at that time.
   /// This overload boxes through a trampoline — it is the cold
   /// configuration path. Hot callers install a raw observer below.
   void set_observer(std::function<void(double)> observer);
@@ -187,49 +130,15 @@ class EventQueue {
   /// Raw observer: called as `fn(ctx, time)`. Pass fn == nullptr to remove.
   void set_observer(RawObserver fn, void* ctx);
 
-  /// \brief Serializes clock, generation counter, and all pending events.
-  ///
-  /// Pending events are written in deterministic (time, sequence) order.
-  /// Fails with NotSupported if any live event was scheduled without a tag —
-  /// closures cannot be persisted. Cancelled entries are already gone (their
-  /// slots were freed at Cancel time).
-  Status Snapshot(ByteWriter* out) const;
-
-  /// Rebuilds `action` closures at restore time: given the persisted
-  /// (kind, payload, time), return the closure to run. Returning an empty
-  /// function makes Restore fail (unknown kind). Consulted only for kinds
-  /// with no registered handler.
-  using ActionFactory =
-      std::function<std::function<void()>(uint64_t kind, uint64_t payload,
-                                          double time)>;
-
-  /// \brief Restores a queue serialized by Snapshot.
-  ///
-  /// The queue must be empty and unstarted (pending() == 0). Accepts both
-  /// the current format and PR 3-era snapshots (the pre-slab layout).
-  /// Entries whose kind has a registered handler are restored onto the
-  /// allocation-free handler path; others go through `factory`. Tokens are
-  /// preserved by current-format snapshots: a token obtained before the
-  /// snapshot still cancels the same logical event after restore (for
-  /// PR 3-era snapshots the events restore and run identically, but old
-  /// token values are not honored — nothing in-tree held tokens across
-  /// those snapshots). Returns InvalidArgument on truncated or inconsistent
-  /// input (entry time before the snapshot clock, sequence beyond the
-  /// counter, duplicate slot, unknown kind).
-  Status Restore(ByteReader* in, const ActionFactory& factory);
-
  private:
   /// Generation value of free slots; never issued to a live event, so a
   /// token or heap key can never match a freed slot.
   static constexpr uint32_t kFreeGen = 0xFFFFFFFFu;
-  /// Kind value marking a closure-only (untagged) event. Note bit 63 is
-  /// set: kUntagged naturally carries kHasActionBit.
-  static constexpr uint64_t kUntagged = ~uint64_t{0};
-  /// Bit 63 of Slot::kind marks "this slot has a closure in actions_".
-  /// Handler kinds are small sequential ids and tag enums are small values,
-  /// so the top bit is free; keeping the marker inside the kind word means
-  /// the hot loop classifies an event with one load and one mask.
-  static constexpr uint64_t kHasActionBit = uint64_t{1} << 63;
+  /// Slot::kind of a closure event (its std::function sits in actions_).
+  /// Handler kinds are small sequential ids, so this never collides; the
+  /// marker lives in the kind word, so the hot loop classifies an event
+  /// with one load and one compare.
+  static constexpr uint64_t kClosure = ~uint64_t{0};
   /// Free-list terminator.
   static constexpr uint32_t kNilSlot = 0xFFFFFFFFu;
 
@@ -237,11 +146,11 @@ class EventQueue {
   /// the heap shuffles only 16-byte keys. `gen` is stamped from a global
   /// counter at schedule time and reset to kFreeGen on free, so liveness of
   /// a heap key or token is a single compare. Closure state lives in the
-  /// actions_ side column (indexed by slot), touched only when kind carries
-  /// kHasActionBit — the steady-state path never constructs, moves, or
-  /// destroys a std::function.
+  /// actions_ side column (indexed by slot), touched only when kind is
+  /// kClosure — the steady-state path never constructs, moves, or destroys
+  /// a std::function.
   struct Slot {
-    uint64_t kind = kUntagged;  ///< handler index or tag; bit 63 = has action
+    uint64_t kind = kClosure;  ///< handler index, or kClosure
     uint64_t payload = 0;
     uint32_t gen = kFreeGen;
     uint32_t next_free = kNilSlot;
@@ -312,12 +221,6 @@ class EventQueue {
     void* ctx = nullptr;
   };
 
-  /// Batch handler record, indexed by kind (parallel to handlers_).
-  struct BatchRec {
-    BatchHandler fn = nullptr;
-    void* ctx = nullptr;
-  };
-
   /// True when `a` must run before `b`. Written branch-free on purpose
   /// (setcc + bitwise ops, no jumps): SiftDown's min-of-4 selection runs
   /// this on effectively random keys ~15 times per pop, and the
@@ -329,14 +232,12 @@ class EventQueue {
 
   uint32_t AllocSlot();
   void FreeSlot(uint32_t slot);
-  /// Grows the side action column to cover `slot` (cold path only).
-  void EnsureActionCapacity(uint32_t slot);
-  EventToken ScheduleSlot(double time, uint64_t kind, uint64_t payload,
-                          std::function<void()> action);
+  /// Stamps a slot and pushes its key: the common body of both Schedule
+  /// forms.
+  EventToken Enqueue(double time, uint64_t kind, uint64_t payload);
+  /// Appends `key` and restores heap order; inserts the alignment pads when
+  /// the array crosses one element.
   void PushKey(HeapKey key);
-  /// Appends without restoring heap order (bulk-build path); inserts the
-  /// alignment pads when the array crosses one element.
-  void AppendUnsifted(HeapKey key);
   /// Bottom-up O(n) heapify over the aligned layout (children always have
   /// higher indices than their parent, so one descending SiftDown pass).
   void HeapifyAll();
@@ -348,27 +249,14 @@ class EventQueue {
   /// (mass abandonment) cannot pin heap memory until pop time.
   void CompactHeap();
   /// Executes the live head key (caller validated liveness). Advances the
-  /// clock, dispatches, and fires the observer. Scalar — shared by RunNext
-  /// and the closure path of the run loops.
+  /// clock, dispatches, and fires the observer. Shared by RunNext and the
+  /// closure path of the run loop.
   void ExecuteHead(const HeapKey& head);
 
-  /// The specialized hot loop. kObserved bakes the observer call in or out;
-  /// kBatched bakes run extraction in or out. RunUntil picks one of the
-  /// four instantiations per call.
-  template <bool kObserved, bool kBatched>
-  void RunLoop(double horizon);
-
-  /// Extracts the maximal same-kind same-timestamp run starting at the
-  /// validated live head and dispatches it to the kind's batch handler.
+  /// The specialized hot loop. kObserved bakes the observer call in or
+  /// out; RunUntil picks one of the two instantiations per call.
   template <bool kObserved>
-  void RunBatchHead(HeapKey head, uint64_t kind);
-
-  Status RestoreV2(ByteReader* in, const ActionFactory& factory);
-  /// Commits decoded entries: places them in the slab (at their stored slot
-  /// for V2, densely for V1), rebuilds the free list and heap.
-  struct PendingRestore;
-  void CommitRestore(double now, uint32_t next_gen, uint64_t executed,
-                     std::vector<PendingRestore> entries);
+  void RunLoop(double horizon);
 
   /// 4-ary implicit min-heap in the cache-aligned layout above: physical
   /// size is 0, 1, or live-keys + kHeapPads.
@@ -383,14 +271,10 @@ class EventQueue {
   size_t tombstones_ = 0;   ///< cancelled keys still in heap_
   double now_ = 0.0;
   uint64_t executed_ = 0;
-  bool scalar_dispatch_ = false;  ///< differential-test override
-  bool have_batch_ = false;       ///< any batch handler registered
   std::vector<HandlerRec> handlers_;
-  std::vector<BatchRec> batch_;  ///< parallel to handlers_
   /// Boxed std::function handlers (the compat AddHandler overload); heap
   /// allocation keeps their addresses stable across vector growth.
   std::vector<std::unique_ptr<Handler>> boxed_handlers_;
-  std::vector<RunEvent> run_buf_;  ///< scratch for run extraction
   RawObserver observer_fn_ = nullptr;
   void* observer_ctx_ = nullptr;
   std::function<void(double)> observer_boxed_;  ///< backing for the overload

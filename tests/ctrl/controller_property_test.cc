@@ -34,7 +34,11 @@ std::vector<ServerMovieSpec> ThreeMovies() {
   for (int i = 0; i < 3; ++i) {
     auto layout = PartitionLayout::FromMaxWait(120.0, streams[i], 1.0);
     VOD_CHECK_OK(layout.status());
-    movies.push_back({"m" + std::to_string(i), *layout, rates[i],
+    // Appended, not "m" + to_string(i): GCC 12 at -O3 reports a false
+    // -Wrestrict inside std::string::insert for the latter.
+    std::string name = "m";
+    name += std::to_string(i);
+    movies.push_back({std::move(name), *layout, rates[i],
                       /*arrivals=*/nullptr, paper::Fig7MixedBehavior()});
   }
   return movies;

@@ -1,5 +1,4 @@
-// Property, regression, and format-compatibility tests for the slab/4-ary
-// heap event-queue kernel.
+// Property and regression tests for the slab/4-ary heap event-queue kernel.
 //
 //  * Randomized property test: the kernel is driven with a mixed
 //    schedule/cancel/pop workload and compared op-for-op against a naive
@@ -8,9 +7,6 @@
 //    reused. Labeled "unit" so the asan/ubsan and tsan CI legs execute it.
 //  * Compaction regression: cancel-heavy bursts must not pin heap memory
 //    (the lazy-deletion leak the compactor exists to prevent).
-//  * PR 3-era snapshot compatibility: a hand-built old-format blob (the
-//    pre-slab layout: clock, seq counter, executed, (time, seq, kind,
-//    payload) entries) must restore and drain in the original order.
 
 #include "sim/event_queue.h"
 
@@ -19,11 +15,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <span>
 #include <utility>
 #include <vector>
-
-#include "common/serialize.h"
 
 namespace vod {
 namespace {
@@ -257,460 +250,6 @@ TEST(EventQueueCompactionTest, CompactionPreservesExecutionOrder) {
     return (a * 37) % 500 < (b * 37) % 500;
   });
   EXPECT_EQ(order, survivors);
-}
-
-// ---- run extraction (DESIGN.md §15) ----------------------------------------
-
-/// Shared recorder for the scalar-vs-batched differential: both dispatch
-/// strategies funnel through OnEvent, so the execution log is directly
-/// comparable. Handlers may reschedule (same kind and cross kind, at the
-/// current timestamp) to exercise the generation-ordering argument that
-/// makes run extraction safe: events born during a run always sort after
-/// the extracted prefix, exactly as they would in the scalar loop.
-struct RunHarness {
-  EventQueue q;
-  uint64_t kind_a = 0;
-  uint64_t kind_b = 0;
-  std::vector<std::pair<uint64_t, uint64_t>> log;  ///< (kind tag, payload)
-  std::vector<size_t> batch_spans;                 ///< extracted run sizes
-  bool reschedule = false;
-
-  void OnEvent(uint64_t tag, uint64_t payload) {
-    log.emplace_back(tag, payload);
-    // First-generation events only (the offset keeps child ids out of the
-    // trigger ranges), so the cascade terminates.
-    constexpr uint64_t kChild = uint64_t{1} << 20;
-    if (!reschedule || payload >= kChild) return;
-    if (payload % 5 == 0) {  // same kind, same timestamp
-      q.ScheduleHandler(q.Now(), tag == 0 ? kind_a : kind_b,
-                        payload + kChild);
-    } else if (payload % 7 == 3) {  // other kind, same timestamp
-      q.ScheduleHandler(q.Now(), tag == 0 ? kind_b : kind_a,
-                        payload + 2 * kChild);
-    }
-  }
-
-  void Register() {
-    kind_a = q.AddHandler(
-        [](void* c, uint64_t p) { static_cast<RunHarness*>(c)->OnEvent(0, p); },
-        this);
-    kind_b = q.AddHandler(
-        [](void* c, uint64_t p) { static_cast<RunHarness*>(c)->OnEvent(1, p); },
-        this);
-  }
-
-  void RegisterBatches() {
-    q.AddBatchHandler(
-        kind_a,
-        [](void* c, std::span<const EventQueue::RunEvent> run) {
-          static_cast<RunHarness*>(c)->OnBatch(0, run);
-        },
-        this);
-    q.AddBatchHandler(
-        kind_b,
-        [](void* c, std::span<const EventQueue::RunEvent> run) {
-          static_cast<RunHarness*>(c)->OnBatch(1, run);
-        },
-        this);
-  }
-
-  void OnBatch(uint64_t tag, std::span<const EventQueue::RunEvent> run) {
-    batch_spans.push_back(run.size());
-    for (const EventQueue::RunEvent& e : run) {
-      // Every member of an extracted run shares the run's timestamp.
-      EXPECT_EQ(e.time, run.front().time);
-      OnEvent(tag, e.payload);
-    }
-  }
-};
-
-TEST(EventQueueRunExtractionTest, MatchesScalarDispatchUnderRandomMix) {
-  // The core differential property: with an identical op stream, the
-  // batched loop must produce the identical execution history as the
-  // scalar loop — including handlers that reschedule at the current
-  // timestamp and cancels landing between windows. Times draw from a
-  // coarse integer grid so same-time runs are common.
-  for (const uint64_t seed : {3ULL, 77ULL, 20260808ULL}) {
-    RunHarness scalar;
-    RunHarness batched;
-    for (RunHarness* h : {&scalar, &batched}) {
-      h->reschedule = true;
-      h->Register();
-      h->RegisterBatches();
-    }
-    scalar.q.set_scalar_dispatch(true);
-
-    MixRng rng(seed);
-    uint64_t next_id = 0;
-    std::vector<std::pair<EventToken, EventToken>> tokens;
-    for (int round = 0; round < 150; ++round) {
-      const uint64_t burst = rng.Below(24);
-      for (uint64_t i = 0; i < burst; ++i) {
-        const double t =
-            scalar.q.Now() + static_cast<double>(rng.Below(6));
-        const uint64_t id = next_id++;
-        const uint64_t dice = rng.Below(3);
-        if (dice < 2) {
-          const uint64_t ks = dice == 0 ? scalar.kind_a : scalar.kind_b;
-          const uint64_t kb = dice == 0 ? batched.kind_a : batched.kind_b;
-          tokens.emplace_back(scalar.q.ScheduleHandler(t, ks, id),
-                              batched.q.ScheduleHandler(t, kb, id));
-        } else {
-          RunHarness* s = &scalar;
-          RunHarness* b = &batched;
-          tokens.emplace_back(
-              scalar.q.Schedule(t, [s, id] { s->log.emplace_back(2, id); }),
-              batched.q.Schedule(t, [b, id] { b->log.emplace_back(2, id); }));
-        }
-      }
-      // Cancels between windows hit live and stale tokens alike; both
-      // queues have identical liveness state, so the effect is symmetric.
-      const uint64_t cancels = rng.Below(4);
-      for (uint64_t i = 0; i < cancels && !tokens.empty(); ++i) {
-        const auto& pick = tokens[rng.Below(tokens.size())];
-        scalar.q.Cancel(pick.first);
-        batched.q.Cancel(pick.second);
-      }
-      const double horizon =
-          scalar.q.Now() + static_cast<double>(rng.Below(4));
-      scalar.q.RunUntil(horizon);
-      batched.q.RunUntil(horizon);
-      ASSERT_EQ(scalar.q.Now(), batched.q.Now()) << "seed " << seed;
-      ASSERT_EQ(scalar.q.pending(), batched.q.pending()) << "seed " << seed;
-    }
-    scalar.q.RunUntil(1.0e18);
-    batched.q.RunUntil(1.0e18);
-
-    EXPECT_EQ(scalar.log, batched.log) << "seed " << seed;
-    EXPECT_EQ(scalar.q.executed(), batched.q.executed()) << "seed " << seed;
-    // The property is vacuous unless extraction actually fired...
-    EXPECT_FALSE(batched.batch_spans.empty()) << "seed " << seed;
-    EXPECT_GE(*std::max_element(batched.batch_spans.begin(),
-                                batched.batch_spans.end()),
-              2u)
-        << "seed " << seed << ": no multi-event run was ever extracted";
-    // ... and the forced-scalar queue must never have batched.
-    EXPECT_TRUE(scalar.batch_spans.empty());
-  }
-}
-
-TEST(EventQueueRunExtractionTest, EqualTimeRunsBreakAtKindBoundaries) {
-  // Interleaved kinds at one timestamp: extraction may only take the
-  // maximal same-kind prefix, never leap over a foreign event to extend a
-  // run — that would reorder equal-time events.
-  RunHarness h;
-  h.Register();
-  h.RegisterBatches();
-  h.q.ScheduleHandler(1.0, h.kind_a, 0);
-  h.q.ScheduleHandler(1.0, h.kind_a, 1);
-  h.q.ScheduleHandler(1.0, h.kind_b, 2);
-  h.q.ScheduleHandler(1.0, h.kind_a, 3);
-  h.q.Schedule(1.0, [&h] { h.log.emplace_back(2, 4); });
-  h.q.ScheduleHandler(1.0, h.kind_a, 5);
-  h.q.RunUntil(2.0);
-  const std::vector<std::pair<uint64_t, uint64_t>> want = {
-      {0, 0}, {0, 1}, {1, 2}, {0, 3}, {2, 4}, {0, 5}};
-  EXPECT_EQ(h.log, want);
-  EXPECT_EQ(h.batch_spans, (std::vector<size_t>{2, 1, 1, 1}));
-}
-
-TEST(EventQueueRunExtractionTest, TimeSpreadEventsNeverFormOneRun) {
-  // Same kind, different timestamps: each must be its own run (the
-  // time-spread extraction §15 rejects would batch them and collapse the
-  // clock onto the first timestamp, breaking handlers that read Now()).
-  RunHarness h;
-  h.Register();
-  h.RegisterBatches();
-  std::vector<double> now_at_dispatch;
-  for (uint64_t i = 0; i < 4; ++i) {
-    h.q.ScheduleHandler(1.0 + static_cast<double>(i), h.kind_a, i);
-  }
-  // Observe the clock after every event: it must track each timestamp.
-  h.q.set_observer(
-      [](void* c, double t) {
-        static_cast<std::vector<double>*>(c)->push_back(t);
-      },
-      &now_at_dispatch);
-  h.q.RunUntil(10.0);
-  EXPECT_EQ(h.batch_spans, (std::vector<size_t>{1, 1, 1, 1}));
-  EXPECT_EQ(now_at_dispatch, (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
-}
-
-TEST(EventQueueRunExtractionTest, CancelledMembersAreSkippedExactly) {
-  // Tombstones inside a would-be run vanish during extraction exactly
-  // where the scalar loop would have skipped them.
-  RunHarness h;
-  h.Register();
-  h.RegisterBatches();
-  std::vector<EventToken> toks;
-  for (uint64_t i = 0; i < 5; ++i) {
-    toks.push_back(h.q.ScheduleHandler(1.0, h.kind_a, i));
-  }
-  h.q.Cancel(toks[1]);
-  h.q.Cancel(toks[3]);
-  h.q.RunUntil(2.0);
-  const std::vector<std::pair<uint64_t, uint64_t>> want = {
-      {0, 0}, {0, 2}, {0, 4}};
-  EXPECT_EQ(h.log, want);
-  EXPECT_EQ(h.batch_spans, (std::vector<size_t>{3}));
-}
-
-TEST(EventQueueRunExtractionTest, SameTimeChildrenFormASecondRun) {
-  // Events scheduled *during* a batch at the batch's own timestamp must
-  // run after the extracted run (their generation is higher), in a second
-  // extraction — mirroring the scalar loop's behavior.
-  RunHarness h;
-  h.reschedule = true;
-  h.Register();
-  h.RegisterBatches();
-  // payloads 0 and 5 trigger same-kind same-time children (+1<<20).
-  for (uint64_t i = 0; i < 6; ++i) h.q.ScheduleHandler(1.0, h.kind_a, i);
-  h.q.RunUntil(2.0);
-  constexpr uint64_t kChild = uint64_t{1} << 20;
-  const std::vector<std::pair<uint64_t, uint64_t>> want = {
-      {0, 0}, {0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5},
-      {0, kChild}, {1, 3 + 2 * kChild}, {0, 5 + kChild}};
-  EXPECT_EQ(h.log, want);
-  // One six-event run, then the same-time children: the two kind-A
-  // children straddle a kind-B child, splitting them into separate runs.
-  EXPECT_EQ(h.batch_spans, (std::vector<size_t>{6, 1, 1, 1}));
-}
-
-TEST(EventQueueRunExtractionTest, RunNextStaysScalar) {
-  // Single-step drivers must see per-event granularity: RunNext never
-  // fires a batch handler even when one is registered for the kind.
-  RunHarness h;
-  h.Register();
-  h.RegisterBatches();
-  for (uint64_t i = 0; i < 4; ++i) h.q.ScheduleHandler(1.0, h.kind_a, i);
-  while (h.q.RunNext()) {
-  }
-  const std::vector<std::pair<uint64_t, uint64_t>> want = {
-      {0, 0}, {0, 1}, {0, 2}, {0, 3}};
-  EXPECT_EQ(h.log, want);
-  EXPECT_TRUE(h.batch_spans.empty());
-}
-
-TEST(EventQueueRunExtractionTest, ObserverFiresPerEventAfterTheRunSettles) {
-  // Under batch dispatch the observer contract is "K ticks at the shared
-  // timestamp, after the run" — the tick count per (kind, time) must match
-  // the scalar loop exactly.
-  RunHarness h;
-  h.Register();
-  h.RegisterBatches();
-  std::vector<double> ticks;
-  h.q.set_observer(
-      [](void* c, double t) {
-        static_cast<std::vector<double>*>(c)->push_back(t);
-      },
-      &ticks);
-  for (uint64_t i = 0; i < 3; ++i) h.q.ScheduleHandler(1.0, h.kind_a, i);
-  h.q.ScheduleHandler(2.0, h.kind_b, 9);
-  h.q.RunUntil(3.0);
-  EXPECT_EQ(ticks, (std::vector<double>{1.0, 1.0, 1.0, 2.0}));
-  // All three kind-A observer ticks fired after the whole run executed:
-  // the log was complete before the first tick recorded... the ordering is
-  // implied by the span assertion below (one 3-event extraction).
-  EXPECT_EQ(h.batch_spans, (std::vector<size_t>{3, 1}));
-}
-
-TEST(EventQueueRunExtractionTest, SnapshotRoundTripsWithBatchHandlers) {
-  // The action-marker bit (slot kind bit 63) is kernel-internal: snapshots
-  // must carry the caller's kind values unchanged, and a restored queue
-  // with batch handlers registered must extract runs from restored events.
-  RunHarness h;
-  h.Register();
-  for (uint64_t i = 0; i < 4; ++i) h.q.ScheduleHandler(5.0, h.kind_a, i);
-  h.q.ScheduleHandler(6.0, h.kind_b, 7);
-  // A tagged closure event rides along; its tag must survive bit-63-free.
-  const uint64_t kTag = 900;
-  h.q.ScheduleTagged(7.0, kTag, 13, [] {});
-  ByteWriter blob;
-  ASSERT_TRUE(h.q.Snapshot(&blob).ok());
-
-  RunHarness restored;
-  restored.Register();
-  restored.RegisterBatches();
-  std::vector<std::pair<uint64_t, uint64_t>> factory_seen;
-  ByteReader reader(blob.bytes());
-  ASSERT_TRUE(restored.q
-                  .Restore(&reader,
-                           [&factory_seen](uint64_t kind, uint64_t payload,
-                                           double) -> std::function<void()> {
-                             factory_seen.emplace_back(kind, payload);
-                             return [] {};
-                           })
-                  .ok());
-  restored.q.RunUntil(10.0);
-  const std::vector<std::pair<uint64_t, uint64_t>> want = {
-      {0, 0}, {0, 1}, {0, 2}, {0, 3}, {1, 7}};
-  EXPECT_EQ(restored.log, want);
-  EXPECT_EQ(restored.batch_spans, (std::vector<size_t>{4, 1}));
-  EXPECT_EQ(factory_seen,
-            (std::vector<std::pair<uint64_t, uint64_t>>{{kTag, 13}}));
-}
-
-// ---- PR 3-era (pre-slab) snapshot compatibility ----------------------------
-
-/// Serializes the old kernel's layout exactly: clock, u64 sequence counter,
-/// executed count, entry count, then (time, seq, kind, payload) per entry.
-struct V1Event {
-  double time;
-  uint64_t seq;
-  uint64_t kind;
-  uint64_t payload;
-};
-
-std::string BuildV1Blob(double clock, uint64_t next_seq, uint64_t executed,
-                        const std::vector<V1Event>& events) {
-  ByteWriter w;
-  w.PutDouble(clock);
-  w.PutU64(next_seq);
-  w.PutU64(executed);
-  w.PutU64(events.size());
-  for (const V1Event& e : events) {
-    w.PutDouble(e.time);
-    w.PutU64(e.seq);
-    w.PutU64(e.kind);
-    w.PutU64(e.payload);
-  }
-  return w.bytes();
-}
-
-TEST(EventQueueV1CompatTest, RestoresPreSlabSnapshotInOriginalOrder) {
-  // Mirror of the scenario the old kernel's own test serialized: ten events
-  // at times ((i*7) % 10) + 1, four already executed (clock 4.0), and the
-  // six survivors written in schedule order (unsorted), seq == i.
-  std::vector<V1Event> survivors;
-  for (uint64_t i = 0; i < 10; ++i) {
-    const double t = static_cast<double>((i * 7) % 10) + 1.0;
-    if (t <= 4.0) continue;  // executed before the snapshot
-    survivors.push_back({t, i, /*kind=*/i, /*payload=*/i * 100});
-  }
-  ASSERT_EQ(survivors.size(), 6u);
-  const std::string blob =
-      BuildV1Blob(/*clock=*/4.0, /*next_seq=*/10, /*executed=*/4, survivors);
-
-  std::vector<std::pair<uint64_t, double>> executed;
-  EventQueue q;
-  ByteReader reader(blob);
-  const Status st = q.Restore(
-      &reader, [&executed, &q](uint64_t kind, uint64_t payload,
-                               double /*time*/) -> std::function<void()> {
-        EXPECT_EQ(payload, kind * 100);
-        return [&executed, &q, kind] { executed.push_back({kind, q.Now()}); };
-      });
-  ASSERT_TRUE(st.ok()) << st.message();
-  EXPECT_TRUE(reader.AtEnd());
-  EXPECT_DOUBLE_EQ(q.Now(), 4.0);
-  EXPECT_EQ(q.pending(), 6u);
-  EXPECT_EQ(q.executed(), 4u);
-  while (q.RunNext()) {
-  }
-  const std::vector<std::pair<uint64_t, double>> want = {
-      {2, 5.0}, {5, 6.0}, {8, 7.0}, {1, 8.0}, {4, 9.0}, {7, 10.0}};
-  EXPECT_EQ(executed, want);
-}
-
-TEST(EventQueueV1CompatTest, RegisteredHandlersServeV1Kinds) {
-  // A v1 snapshot restored into a queue with a handler table must route
-  // entries through the table, not the factory.
-  const std::string blob = BuildV1Blob(
-      0.0, /*next_seq=*/2, /*executed=*/0,
-      {{1.0, 0, /*kind=*/0, /*payload=*/7}, {2.0, 1, /*kind=*/0, 9}});
-  EventQueue q;
-  std::vector<uint64_t> payloads;
-  const uint64_t kind = q.AddHandler(
-      [&payloads](uint64_t payload) { payloads.push_back(payload); });
-  ASSERT_EQ(kind, 0u);
-  ByteReader reader(blob);
-  ASSERT_TRUE(q.Restore(&reader,
-                        [](uint64_t, uint64_t, double) -> std::function<void()> {
-                          ADD_FAILURE() << "factory consulted for a "
-                                           "handler-registered kind";
-                          return [] {};
-                        })
-                  .ok());
-  while (q.RunNext()) {
-  }
-  EXPECT_EQ(payloads, (std::vector<uint64_t>{7, 9}));
-}
-
-TEST(EventQueueV1CompatTest, V1TieBreaksFollowSequenceNotFileOrder) {
-  // Entries at the same timestamp must drain by seq even when the file
-  // stores them reversed.
-  const std::string blob =
-      BuildV1Blob(0.0, /*next_seq=*/8, /*executed=*/0,
-                  {{3.0, 6, 106, 0}, {3.0, 2, 102, 0}, {3.0, 4, 104, 0}});
-  EventQueue q;
-  std::vector<uint64_t> kinds;
-  ByteReader reader(blob);
-  ASSERT_TRUE(
-      q.Restore(&reader,
-                [&kinds](uint64_t kind, uint64_t, double) -> std::function<void()> {
-                  return [&kinds, kind] { kinds.push_back(kind); };
-                })
-          .ok());
-  while (q.RunNext()) {
-  }
-  EXPECT_EQ(kinds, (std::vector<uint64_t>{102, 104, 106}));
-}
-
-TEST(EventQueueV1CompatTest, V1EntryBeforeClockIsRejected) {
-  const std::string blob =
-      BuildV1Blob(5.0, /*next_seq=*/1, /*executed=*/3, {{4.0, 0, 1, 0}});
-  EventQueue q;
-  ByteReader reader(blob);
-  const Status st = q.Restore(
-      &reader, [](uint64_t, uint64_t, double) -> std::function<void()> {
-        return [] {};
-      });
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("precedes the snapshot clock"),
-            std::string::npos);
-}
-
-TEST(EventQueueV1CompatTest, V1SeqBeyondCounterIsRejected) {
-  const std::string blob =
-      BuildV1Blob(0.0, /*next_seq=*/3, /*executed=*/0, {{1.0, 3, 1, 0}});
-  EventQueue q;
-  ByteReader reader(blob);
-  const Status st = q.Restore(
-      &reader, [](uint64_t, uint64_t, double) -> std::function<void()> {
-        return [] {};
-      });
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("sequence counter"), std::string::npos);
-}
-
-TEST(EventQueueV1CompatTest, RestoredV1QueueSnapshotsInCurrentFormat) {
-  // Round-trip: v1 in, run a little, v2 out, restore again. The second
-  // restore must preserve both order and clock.
-  const std::string v1 = BuildV1Blob(
-      0.0, /*next_seq=*/4, /*executed=*/0,
-      {{1.0, 0, 10, 0}, {2.0, 1, 11, 0}, {3.0, 2, 12, 0}, {4.0, 3, 13, 0}});
-  std::vector<uint64_t> kinds;
-  const auto factory = [&kinds](uint64_t kind, uint64_t,
-                                double) -> std::function<void()> {
-    return [&kinds, kind] { kinds.push_back(kind); };
-  };
-  EventQueue q;
-  {
-    ByteReader reader(v1);
-    ASSERT_TRUE(q.Restore(&reader, factory).ok());
-  }
-  ASSERT_TRUE(q.RunNext());  // runs kind 10, clock -> 1.0
-  ByteWriter v2;
-  ASSERT_TRUE(q.Snapshot(&v2).ok());
-
-  EventQueue q2;
-  ByteReader reader(v2.bytes());
-  ASSERT_TRUE(q2.Restore(&reader, factory).ok());
-  EXPECT_DOUBLE_EQ(q2.Now(), 1.0);
-  EXPECT_EQ(q2.pending(), 3u);
-  while (q2.RunNext()) {
-  }
-  EXPECT_EQ(kinds, (std::vector<uint64_t>{10, 11, 12, 13}));
 }
 
 }  // namespace

@@ -2,10 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
+#include <cstdint>
+#include <utility>
 #include <vector>
-
-#include "common/serialize.h"
 
 namespace vod {
 namespace {
@@ -166,175 +165,117 @@ TEST(EventQueueTest, ObserverFiresAfterEachExecutedEvent) {
   EXPECT_EQ(q.executed(), 2u);
 }
 
-// ---- tagged snapshot / restore --------------------------------------------
+// ---- equal-time ordering through registered handlers -----------------------
 
-TEST(EventQueueSnapshotTest, RestoreMidHeapPreservesOrderAndClock) {
-  // Build a queue, run part of it, snapshot mid-heap, and check the restored
-  // queue drains the remaining events in the identical order.
-  std::vector<std::pair<uint64_t, double>> executed;
-  auto factory = [&executed](uint64_t kind, uint64_t payload,
-                             double time) -> std::function<void()> {
-    (void)payload;
-    return [&executed, kind, time] { executed.push_back({kind, time}); };
-  };
+/// Two registered handler kinds that log (kind tag, payload); closures log
+/// tag 2 themselves. With `reschedule` on, a first-generation payload
+/// p % 5 == 0 schedules a same-kind child and p % 7 == 3 an other-kind
+/// child, both at Now().
+struct HandlerLog {
+  static constexpr uint64_t kChild = uint64_t{1} << 20;
 
   EventQueue q;
-  for (uint64_t i = 0; i < 10; ++i) {
-    const double t = static_cast<double>((i * 7) % 10) + 1.0;
-    q.ScheduleTagged(t, /*kind=*/i, /*payload=*/i * 100, factory(i, i * 100, t));
+  uint64_t kind_a = 0;
+  uint64_t kind_b = 0;
+  std::vector<std::pair<uint64_t, uint64_t>> log;  ///< (kind tag, payload)
+  bool reschedule = false;
+
+  HandlerLog() {
+    kind_a = q.AddHandler(
+        [](void* c, uint64_t p) { static_cast<HandlerLog*>(c)->OnEvent(0, p); },
+        this);
+    kind_b = q.AddHandler(
+        [](void* c, uint64_t p) { static_cast<HandlerLog*>(c)->OnEvent(1, p); },
+        this);
   }
-  // Run the first 4 events, leaving a part-consumed heap.
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(q.RunNext());
-  const std::vector<std::pair<uint64_t, double>> prefix = executed;
-  const double clock = q.Now();
-  const size_t remaining = q.pending();
 
-  ByteWriter snapshot;
-  ASSERT_TRUE(q.Snapshot(&snapshot).ok());
-
-  // Drain the original for the reference tail.
-  while (q.RunNext()) {
+  void OnEvent(uint64_t tag, uint64_t payload) {
+    log.emplace_back(tag, payload);
+    // The offset keeps children out of the trigger ranges, so the cascade
+    // stops after one generation.
+    if (!reschedule || payload >= kChild) return;
+    if (payload % 5 == 0) {
+      q.ScheduleHandler(q.Now(), tag == 0 ? kind_a : kind_b, payload + kChild);
+    } else if (payload % 7 == 3) {
+      q.ScheduleHandler(q.Now(), tag == 0 ? kind_b : kind_a,
+                        payload + 2 * kChild);
+    }
   }
-  std::vector<std::pair<uint64_t, double>> reference_tail(
-      executed.begin() + static_cast<ptrdiff_t>(prefix.size()),
-      executed.end());
+};
 
-  executed.clear();
-  EventQueue restored;
-  ByteReader reader(snapshot.bytes());
-  ASSERT_TRUE(restored.Restore(&reader, factory).ok());
-  EXPECT_TRUE(reader.AtEnd());
-  EXPECT_DOUBLE_EQ(restored.Now(), clock);
-  EXPECT_EQ(restored.pending(), remaining);
-  while (restored.RunNext()) {
+using Log = std::vector<std::pair<uint64_t, uint64_t>>;
+
+TEST(EventQueueTest, EqualTimeEventsKeepScheduleOrderAcrossKinds) {
+  // Interleaved handler kinds and a closure at one timestamp run in
+  // schedule order: no event leaps over a foreign one of equal time.
+  HandlerLog h;
+  h.q.ScheduleHandler(1.0, h.kind_a, 0);
+  h.q.ScheduleHandler(1.0, h.kind_a, 1);
+  h.q.ScheduleHandler(1.0, h.kind_b, 2);
+  h.q.ScheduleHandler(1.0, h.kind_a, 3);
+  h.q.Schedule(1.0, [&h] { h.log.emplace_back(2, 4); });
+  h.q.ScheduleHandler(1.0, h.kind_a, 5);
+  h.q.RunUntil(2.0);
+  EXPECT_EQ(h.log, (Log{{0, 0}, {0, 1}, {1, 2}, {0, 3}, {2, 4}, {0, 5}}));
+  EXPECT_EQ(h.q.executed(), 6u);
+}
+
+TEST(EventQueueTest, CancelledEqualTimeHandlerEventsAreSkippedExactly) {
+  HandlerLog h;
+  std::vector<EventToken> tokens;
+  for (uint64_t i = 0; i < 5; ++i) {
+    tokens.push_back(h.q.ScheduleHandler(1.0, h.kind_a, i));
   }
-  EXPECT_EQ(executed, reference_tail);
+  h.q.Cancel(tokens[1]);
+  h.q.Cancel(tokens[3]);
+  h.q.RunUntil(2.0);
+  EXPECT_EQ(h.log, (Log{{0, 0}, {0, 2}, {0, 4}}));
+  EXPECT_EQ(h.q.executed(), 3u);
+  EXPECT_TRUE(h.q.empty());
 }
 
-TEST(EventQueueSnapshotTest, TokensSurviveRestoreForCancellation) {
-  EventQueue q;
-  int runs = 0;
-  auto noop_factory = [&runs](uint64_t, uint64_t,
-                              double) -> std::function<void()> {
-    return [&runs] { ++runs; };
-  };
-  q.ScheduleTagged(1.0, 1, 0, [&runs] { ++runs; });
-  const EventToken victim = q.ScheduleTagged(2.0, 2, 0, [&runs] { ++runs; });
-  ByteWriter snapshot;
-  ASSERT_TRUE(q.Snapshot(&snapshot).ok());
-
-  EventQueue restored;
-  ByteReader reader(snapshot.bytes());
-  ASSERT_TRUE(restored.Restore(&reader, noop_factory).ok());
-  restored.Cancel(victim);  // pre-snapshot token targets the same event
-  while (restored.RunNext()) {
-  }
-  EXPECT_EQ(runs, 1);
+TEST(EventQueueTest, SameTimeChildrenRunAfterEveryPendingPeer) {
+  // Events a handler schedules at the current timestamp carry a higher
+  // generation than every event already pending there, so they run after
+  // all of them, in the order they were scheduled.
+  HandlerLog h;
+  h.reschedule = true;
+  // Payloads 0 and 5 spawn same-kind children; payload 3 a kind-B child.
+  for (uint64_t i = 0; i < 6; ++i) h.q.ScheduleHandler(1.0, h.kind_a, i);
+  h.q.RunUntil(2.0);
+  constexpr uint64_t kChild = HandlerLog::kChild;
+  EXPECT_EQ(h.log, (Log{{0, 0},
+                        {0, 1},
+                        {0, 2},
+                        {0, 3},
+                        {0, 4},
+                        {0, 5},
+                        {0, kChild},
+                        {1, 3 + 2 * kChild},
+                        {0, 5 + kChild}}));
 }
 
-TEST(EventQueueSnapshotTest, CancelledEventsAreDroppedFromSnapshots) {
-  EventQueue q;
-  q.ScheduleTagged(1.0, 1, 0, [] {});
-  const EventToken t = q.ScheduleTagged(2.0, 2, 0, [] {});
-  q.Cancel(t);
-  ByteWriter snapshot;
-  ASSERT_TRUE(q.Snapshot(&snapshot).ok());
-
-  EventQueue restored;
-  ByteReader reader(snapshot.bytes());
-  ASSERT_TRUE(restored
-                  .Restore(&reader,
-                           [](uint64_t, uint64_t,
-                              double) -> std::function<void()> {
-                             return [] {};
-                           })
-                  .ok());
-  EXPECT_EQ(restored.pending(), 1u);
-}
-
-TEST(EventQueueSnapshotTest, UntaggedEventMakesSnapshotNotSupported) {
-  EventQueue q;
-  q.ScheduleTagged(1.0, 1, 0, [] {});
-  q.Schedule(2.0, [] {});  // closure-only: cannot persist
-  ByteWriter snapshot;
-  const Status st = q.Snapshot(&snapshot);
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsNotSupported());
-  EXPECT_NE(st.message().find("untagged"), std::string::npos);
-}
-
-TEST(EventQueueSnapshotTest, RestoreIntoNonEmptyQueueIsRejected) {
-  EventQueue q;
-  q.ScheduleTagged(1.0, 1, 0, [] {});
-  ByteWriter snapshot;
-  ASSERT_TRUE(q.Snapshot(&snapshot).ok());
-  ByteReader reader(snapshot.bytes());
-  EXPECT_FALSE(q.Restore(&reader,
-                         [](uint64_t, uint64_t,
-                            double) -> std::function<void()> {
-                           return [] {};
-                         })
-                   .ok());
-}
-
-TEST(EventQueueSnapshotTest, TruncatedSnapshotIsRejected) {
-  EventQueue q;
-  q.ScheduleTagged(1.0, 1, 0, [] {});
-  q.ScheduleTagged(2.0, 2, 0, [] {});
-  ByteWriter snapshot;
-  ASSERT_TRUE(q.Snapshot(&snapshot).ok());
-  const std::string cut =
-      snapshot.bytes().substr(0, snapshot.bytes().size() - 9);
-  EventQueue restored;
-  ByteReader reader(cut);
-  const Status st = restored.Restore(&reader,
-                                     [](uint64_t, uint64_t,
-                                        double) -> std::function<void()> {
-                                       return [] {};
-                                     });
-  ASSERT_FALSE(st.ok());
-  // All-or-nothing: the failed restore must not leave partial state.
-  EXPECT_EQ(restored.pending(), 0u);
-  EXPECT_DOUBLE_EQ(restored.Now(), 0.0);
-}
-
-TEST(EventQueueSnapshotTest, UnknownKindIsRejected) {
-  EventQueue q;
-  q.ScheduleTagged(1.0, /*kind=*/77, 0, [] {});
-  ByteWriter snapshot;
-  ASSERT_TRUE(q.Snapshot(&snapshot).ok());
-  EventQueue restored;
-  ByteReader reader(snapshot.bytes());
-  const Status st = restored.Restore(
-      &reader,
-      [](uint64_t kind, uint64_t, double) -> std::function<void()> {
-        if (kind == 77) return nullptr;  // factory refuses this kind
-        return [] {};
-      });
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("kind"), std::string::npos);
-}
-
-TEST(EventQueueSnapshotTest, SimultaneousEventsKeepScheduleOrderAcrossRestore) {
-  // Tie-breaking at equal timestamps must be the insertion order, and a
-  // snapshot/restore cycle must not perturb it.
-  std::vector<uint64_t> executed;
-  auto factory = [&executed](uint64_t kind, uint64_t,
-                             double) -> std::function<void()> {
-    return [&executed, kind] { executed.push_back(kind); };
-  };
-  EventQueue q;
-  for (uint64_t i = 0; i < 6; ++i) {
-    q.ScheduleTagged(5.0, i, 0, factory(i, 0, 5.0));
-  }
-  ByteWriter snapshot;
-  ASSERT_TRUE(q.Snapshot(&snapshot).ok());
-  EventQueue restored;
-  ByteReader reader(snapshot.bytes());
-  ASSERT_TRUE(restored.Restore(&reader, factory).ok());
-  while (restored.RunNext()) {
-  }
-  EXPECT_EQ(executed, (std::vector<uint64_t>{0, 1, 2, 3, 4, 5}));
+TEST(EventQueueTest, ObserverTicksOncePerHandlerEventAtItsTime) {
+  // RunUntil's observed loop fires the observer after each handler event,
+  // with that event's state already applied.
+  HandlerLog h;
+  struct Tick {
+    HandlerLog* h;
+    std::vector<double> times;
+    std::vector<size_t> logged;  ///< log size when the tick fired
+  } tick{&h, {}, {}};
+  h.q.set_observer(
+      [](void* c, double t) {
+        Tick* tk = static_cast<Tick*>(c);
+        tk->times.push_back(t);
+        tk->logged.push_back(tk->h->log.size());
+      },
+      &tick);
+  for (uint64_t i = 0; i < 3; ++i) h.q.ScheduleHandler(1.0, h.kind_a, i);
+  h.q.ScheduleHandler(2.0, h.kind_b, 9);
+  h.q.RunUntil(3.0);
+  EXPECT_EQ(tick.times, (std::vector<double>{1.0, 1.0, 1.0, 2.0}));
+  EXPECT_EQ(tick.logged, (std::vector<size_t>{1, 2, 3, 4}));
 }
 
 TEST(EventQueueTest, ManyEventsStressOrder) {
