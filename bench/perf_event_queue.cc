@@ -2,7 +2,7 @@
 //
 // The simulator-level benches (perf_simulator.cc) measure the kernel through
 // a full workload; these isolate the kernel's own operations so a regression
-// in the slab, the 4-ary heap, or the dispatch path is attributable without
+// in the slab, the radix heap, or the dispatch path is attributable without
 // profiling. Sweeps run at 1e3..1e6 pending events to expose cache effects —
 // the queue-size regimes a single simulation never covers in one run.
 //
@@ -37,6 +37,14 @@ class BenchRng {
   uint64_t state_;
 };
 
+/// Handler that adds each payload to the uint64_t at `ctx`.
+void SumPayload(void* ctx, uint64_t payload) {
+  *static_cast<uint64_t*>(ctx) += payload;
+}
+
+/// Handler that does nothing.
+void IgnorePayload(void*, uint64_t) {}
+
 /// Fills `q` with `n` handler events uniformly over [now, now + n) minutes
 /// and returns their tokens.
 std::vector<EventToken> Fill(EventQueue& q, uint64_t kind, size_t n,
@@ -57,7 +65,7 @@ void BM_HoldModel(benchmark::State& state) {
   const size_t population = static_cast<size_t>(state.range(0));
   EventQueue q;
   uint64_t sink = 0;
-  const uint64_t kind = q.AddHandler([&sink](uint64_t p) { sink += p; });
+  const uint64_t kind = q.AddHandler(&SumPayload, &sink);
   q.Reserve(population + 1);
   BenchRng rng(7);
   Fill(q, kind, population, rng);
@@ -69,16 +77,18 @@ void BM_HoldModel(benchmark::State& state) {
   benchmark::DoNotOptimize(sink);
   state.SetItemsProcessed(state.iterations());
 }
+// 78 and 19,250 are the pending sizes the repository benchmark's layer
+// ladder reports for fig7_mixed and catalog_serial.
 BENCHMARK(BM_HoldModel)
-    ->Arg(1000)->Arg(10000)->Arg(100000)->Arg(1000000);
+    ->Arg(1000)->Arg(10000)->Arg(100000)->Arg(1000000)->Arg(78)->Arg(19250);
 
-// Pure schedule throughput into a growing heap, then drain outside the
-// timed region. Measures PushKey/SiftUp and slab allocation.
+// Pure schedule throughput into a growing queue, then drain outside the
+// timed region. Measures bucket appends and slab allocation.
 void BM_ScheduleOnly(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EventQueue q;
   uint64_t sink = 0;
-  const uint64_t kind = q.AddHandler([&sink](uint64_t p) { sink += p; });
+  const uint64_t kind = q.AddHandler(&SumPayload, &sink);
   q.Reserve(n);
   BenchRng rng(11);
   const double range = static_cast<double>(n);
@@ -96,13 +106,13 @@ void BM_ScheduleOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleOnly)->Arg(1000)->Arg(10000)->Arg(100000);
 
-// Pop throughput from a pre-filled heap of `range(0)` events (PopRoot /
-// SiftDown plus dispatch). The refill runs untimed.
+// Pop throughput from a pre-filled queue of `range(0)` events (bucket
+// refills plus dispatch). Filling the queue runs untimed.
 void BM_PopOnly(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EventQueue q;
   uint64_t sink = 0;
-  const uint64_t kind = q.AddHandler([&sink](uint64_t p) { sink += p; });
+  const uint64_t kind = q.AddHandler(&SumPayload, &sink);
   q.Reserve(n);
   BenchRng rng(13);
   for (auto _ : state) {
@@ -124,7 +134,7 @@ BENCHMARK(BM_PopOnly)->Arg(1000)->Arg(10000)->Arg(100000);
 void BM_ScheduleCancelMix(benchmark::State& state) {
   const size_t population = static_cast<size_t>(state.range(0));
   EventQueue q;
-  const uint64_t kind = q.AddHandler([](uint64_t) {});
+  const uint64_t kind = q.AddHandler(&IgnorePayload, nullptr);
   q.Reserve(population + 1);
   BenchRng rng(17);
   std::vector<EventToken> live = Fill(q, kind, population, rng);
@@ -143,11 +153,11 @@ BENCHMARK(BM_ScheduleCancelMix)
 
 // Worst case for lazy deletion: cancel an entire far-future wave, then pop
 // through the tombstones. One iteration = schedule + cancel + drain of
-// `range(0)` events; exercises CompactHeap end-to-end.
+// `range(0)` events; exercises CompactKeys end-to-end.
 void BM_CancelBurstThenDrain(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EventQueue q;
-  const uint64_t kind = q.AddHandler([](uint64_t) {});
+  const uint64_t kind = q.AddHandler(&IgnorePayload, nullptr);
   q.Reserve(n + 1);
   BenchRng rng(19);
   for (auto _ : state) {

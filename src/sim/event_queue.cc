@@ -1,30 +1,21 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 
 namespace vod {
 
-namespace {
-
-// Trampoline for the std::function handler compatibility overload.
-void BoxedHandlerTrampoline(void* ctx, uint64_t payload) {
-  (*static_cast<EventQueue::Handler*>(ctx))(payload);
+uint64_t EventQueue::TimeBits(double time) {
+  // Adding +0.0 maps -0.0 to +0.0 and leaves every other time as it is, so
+  // equal times have equal bits.
+  return std::bit_cast<uint64_t>(time + 0.0);
 }
 
-// Trampoline for the std::function observer compatibility overload.
-void BoxedObserverTrampoline(void* ctx, double time) {
-  (*static_cast<std::function<void(double)>*>(ctx))(time);
-}
-
-}  // namespace
-
-uint64_t EventQueue::AddHandler(Handler handler) {
-  VOD_CHECK_MSG(handler != nullptr, "event handler must be callable");
-  boxed_handlers_.push_back(std::make_unique<Handler>(std::move(handler)));
-  return AddHandler(&BoxedHandlerTrampoline, boxed_handlers_.back().get());
-}
+double EventQueue::BitsTime(uint64_t bits) { return std::bit_cast<double>(bits); }
 
 uint64_t EventQueue::AddHandler(RawHandler fn, void* ctx) {
   VOD_CHECK_MSG(fn != nullptr, "event handler must be callable");
@@ -32,22 +23,16 @@ uint64_t EventQueue::AddHandler(RawHandler fn, void* ctx) {
   return handlers_.size() - 1;
 }
 
-void EventQueue::set_observer(std::function<void(double)> observer) {
-  if (observer) {
-    observer_boxed_ = std::move(observer);
-    observer_fn_ = &BoxedObserverTrampoline;
-    observer_ctx_ = &observer_boxed_;
-  } else {
-    observer_boxed_ = nullptr;
-    observer_fn_ = nullptr;
-    observer_ctx_ = nullptr;
-  }
-}
-
 void EventQueue::set_observer(RawObserver fn, void* ctx) {
-  observer_boxed_ = nullptr;
   observer_fn_ = fn;
   observer_ctx_ = fn != nullptr ? ctx : nullptr;
+}
+
+void EventQueue::Reserve(size_t events) {
+  slots_.reserve(events);
+  const size_t blocks = events / kBlockKeys + kBuckets;
+  blocks_.reserve(blocks * kBlockKeys);
+  next_block_.reserve(blocks);
 }
 
 uint32_t EventQueue::AllocSlot() {
@@ -72,6 +57,8 @@ void EventQueue::FreeSlot(uint32_t slot) {
 }
 
 EventToken EventQueue::Enqueue(double time, uint64_t kind, uint64_t payload) {
+  // Also keeps every key at or after the committed minimum (it is never
+  // later than Now()), which the bucket arithmetic relies on.
   VOD_CHECK_MSG(time >= now_, "cannot schedule an event in the past");
   if (next_gen_ == kFreeGen) next_gen_ = 0;  // skip the free sentinel on wrap
   const uint32_t gen = next_gen_++;
@@ -80,7 +67,9 @@ EventToken EventQueue::Enqueue(double time, uint64_t kind, uint64_t payload) {
   s.gen = gen;
   s.kind = kind;
   s.payload = payload;
-  PushKey(HeapKey{time, gen, slot});
+  const Key key{TimeBits(time), gen, slot};
+  Append(std::bit_width(key.bits ^ last_), key);
+  ++keys_;
   ++live_;
   return (static_cast<uint64_t>(gen) << 32) | slot;
 }
@@ -113,119 +102,146 @@ void EventQueue::Cancel(EventToken token) {
   --live_;
   ++tombstones_;
   // Lazy deletion must not pin memory after a cancel-heavy burst: once
-  // tombstones dominate, drop them all and re-heapify in O(n).
-  if (tombstones_ > heap_.size() / 2 && heap_.size() > 64) CompactHeap();
+  // tombstones dominate, drop them all in O(keys).
+  if (tombstones_ > keys_ / 2 && keys_ > 64) CompactKeys();
 }
 
-void EventQueue::HeapifyAll() {
-  // In the aligned layout children always sit at higher indices than their
-  // parent, so one descending SiftDown pass over the internal nodes (every
-  // index up to the last element's parent — HeapParent is monotone) is the
-  // standard O(n) heapify; leaves are skipped, not rewritten.
-  if (heap_.size() <= 1) return;
-  for (size_t i = HeapParent(heap_.size() - 1);; --i) {
-    if (!IsHeapPad(i)) SiftDown(i);
-    if (i == 0) break;
+uint32_t EventQueue::AllocBlock() {
+  if (free_block_ != kNoBlock) {
+    const uint32_t block = free_block_;
+    free_block_ = next_block_[block];
+    return block;
   }
+  VOD_CHECK_MSG(next_block_.size() < kNoBlock, "event key pool exhausted");
+  blocks_.resize(blocks_.size() + kBlockKeys);
+  next_block_.push_back(kNoBlock);
+  return static_cast<uint32_t>(next_block_.size() - 1);
 }
 
-void EventQueue::PushKey(HeapKey key) {
-  if (heap_.size() == 1) {
-    // Crossing one element: insert the dead pads so level-1 starts at
-    // index 4 (one cache line per sibling group; see HeapChild).
-    heap_.resize(1 + kHeapPads,
-                 HeapKey{std::numeric_limits<double>::infinity(), 0, 0});
-  }
-  heap_.push_back(key);
-  SiftUp(heap_.size() - 1);
+void EventQueue::FreeBlock(uint32_t block) {
+  next_block_[block] = free_block_;
+  free_block_ = block;
 }
 
-void EventQueue::PopRoot() {
-  const size_t n = heap_.size();
-  if (n <= 1) {
-    heap_.clear();
-    return;
-  }
-  if (n == 2 + kHeapPads) {
-    // Dropping to one key: retire the pads too so physical size is again
-    // 0, 1, or keys + pads (PushKey's crossing test depends on it).
-    heap_[0] = heap_[1 + kHeapPads];
-    heap_.resize(1);
-    return;
-  }
-  heap_.front() = heap_.back();
-  heap_.pop_back();
-  SiftDown(0);
-}
-
-void EventQueue::SiftUp(size_t i) {
-  const HeapKey key = heap_[i];
-  while (i > 0) {
-    const size_t parent = HeapParent(i);
-    if (!RunsBefore(key, heap_[parent])) break;
-    heap_[i] = heap_[parent];
-    i = parent;
-  }
-  heap_[i] = key;
-}
-
-void EventQueue::SiftDown(size_t i) {
-  const size_t n = heap_.size();
-  const HeapKey key = heap_[i];
-  for (;;) {
-    const size_t first = HeapChild(i);
-    if (first + 4 <= n) {
-      // Full group of four: tournament min with branch-free comparisons
-      // and index arithmetic, so the only data-dependent branch per level
-      // is the loop exit. The naive scan's selection branches mispredict
-      // ~50% on random keys and dominated the pop cost.
-      const HeapKey* g = &heap_[first];
-      const size_t b01 = first + static_cast<size_t>(RunsBefore(g[1], g[0]));
-      const size_t b23 =
-          first + 2 + static_cast<size_t>(RunsBefore(g[3], g[2]));
-      const size_t best = RunsBefore(heap_[b23], heap_[b01]) ? b23 : b01;
-      if (!RunsBefore(heap_[best], key)) break;
-      heap_[i] = heap_[best];
-      i = best;
-      continue;
+void EventQueue::Append(int b, const Key& key) {
+  Bucket& bucket = buckets_[b];
+  if (bucket.fill == kBlockKeys) {
+    const uint32_t block = AllocBlock();
+    next_block_[block] = kNoBlock;
+    if (bucket.tail == kNoBlock) {
+      bucket.head = block;
+    } else {
+      next_block_[bucket.tail] = block;
     }
-    if (first >= n) break;
-    // Partial trailing group (its members are leaves; one more level ends
-    // the walk).
-    size_t best = first;
-    for (size_t c = first + 1; c < n; ++c) {
-      if (RunsBefore(heap_[c], heap_[best])) best = c;
-    }
-    if (!RunsBefore(heap_[best], key)) break;
-    heap_[i] = heap_[best];
-    i = best;
+    bucket.tail = block;
+    bucket.fill = 0;
   }
-  heap_[i] = key;
+  blocks_[size_t{bucket.tail} * kBlockKeys + bucket.fill++] = key;
+  occupied_ |= uint64_t{1} << b;
 }
 
-void EventQueue::CompactHeap() {
-  // In-place: slide the live keys down over the tombstones (the write
-  // cursor hops the pad indices, the read cursor skips them), truncate,
-  // and heapify bottom-up. No allocation — Cancel calls this from inside
-  // cancel-heavy bursts, where a scratch vector per compaction measurably
-  // drags the whole mix.
-  size_t write = 0;
-  for (size_t read = 0; read < heap_.size(); ++read) {
-    if (IsHeapPad(read)) continue;
-    const HeapKey key = heap_[read];
-    if (slots_[key.slot].gen != key.gen) continue;  // tombstone
-    heap_[write] = key;
-    write = (write == 0) ? 1 + kHeapPads : write + 1;
+const EventQueue::Key& EventQueue::Front() const {
+  return blocks_[size_t{buckets_[0].head} * kBlockKeys + front_pos_];
+}
+
+void EventQueue::PopFront() {
+  --keys_;
+  Bucket& front = buckets_[0];
+  const bool tail = front.head == front.tail;
+  if (++front_pos_ < (tail ? front.fill : kBlockKeys)) return;
+  front_pos_ = 0;
+  if (tail) {  // drained: the block stays as the bucket's home
+    front.fill = 0;
+    occupied_ &= ~uint64_t{1};
+  } else {
+    const uint32_t done = front.head;
+    front.head = next_block_[done];
+    FreeBlock(done);
   }
-  // One live key leaves write just past the pads; physical size must be 1.
-  if (write == 1 + kHeapPads) write = 1;
-  heap_.resize(write);
+}
+
+bool EventQueue::Refill(double horizon) {
+  if (occupied_ == 0) {
+    // Nothing held: a minimum committed for keys since dropped may be
+    // later than Now(), and the next key may be as early as Now().
+    last_ = TimeBits(now_);
+    return false;
+  }
+  const int from = std::countr_zero(occupied_);
+  const Bucket src = buckets_[from];
+  uint64_t min = ~uint64_t{0};
+  for (uint32_t block = src.head;; block = next_block_[block]) {
+    const uint32_t n = block == src.tail ? src.fill : kBlockKeys;
+    const Key* keys = &blocks_[size_t{block} * kBlockKeys];
+    for (uint32_t i = 0; i < n; ++i) min = std::min(min, keys[i].bits);
+    if (block == src.tail) break;
+  }
+  // A minimum after the horizon stays uncommitted, so callers may still
+  // schedule between the horizon and it.
+  if (BitsTime(min) > horizon) return false;
+  last_ = min;
+  buckets_[from] = Bucket{src.head, src.head, 0};
+  occupied_ &= ~(uint64_t{1} << from);
+  // Every bucket below `from` is empty, so appending in src's order keeps
+  // each one in gen order; every key moves to a strictly lower bucket.
+  // Blocks but the home one go back to the pool once read. (Keys are read
+  // by index: an Append may grow the pool.)
+  for (uint32_t block = src.head;;) {
+    const bool tail = block == src.tail;
+    const uint32_t n = tail ? src.fill : kBlockKeys;
+    const uint32_t next = next_block_[block];
+    const size_t base = size_t{block} * kBlockKeys;
+    for (uint32_t i = 0; i < n; ++i) {
+      const Key key = blocks_[base + i];
+      Append(std::bit_width(key.bits ^ min), key);
+    }
+    if (block != src.head) FreeBlock(block);
+    if (tail) return true;
+    block = next;
+  }
+}
+
+void EventQueue::CompactKeys() {
+  // In place, bucket by bucket, keeping each bucket's order; consumed front
+  // keys go too, and blocks left empty, but a bucket's home block, return
+  // to the pool.
+  for (uint64_t m = occupied_; m != 0; m &= m - 1) {
+    const int b = std::countr_zero(m);
+    Bucket& bucket = buckets_[b];
+    uint32_t read = bucket.head;
+    uint32_t pos = b == 0 ? front_pos_ : 0;
+    uint32_t write = bucket.head;
+    uint32_t kept = 0;
+    for (;;) {
+      const uint32_t n = read == bucket.tail ? bucket.fill : kBlockKeys;
+      for (; pos < n; ++pos) {
+        const Key key = blocks_[size_t{read} * kBlockKeys + pos];
+        if (slots_[key.slot].gen != key.gen) continue;  // tombstone
+        if (kept == kBlockKeys) {
+          write = next_block_[write];
+          kept = 0;
+        }
+        blocks_[size_t{write} * kBlockKeys + kept++] = key;
+      }
+      if (read == bucket.tail) break;
+      read = next_block_[read];
+      pos = 0;
+    }
+    if (write != bucket.tail) {  // free the blocks past the last written
+      next_block_[bucket.tail] = free_block_;
+      free_block_ = next_block_[write];
+    }
+    bucket.tail = write;
+    bucket.fill = kept;
+    if (kept == 0) occupied_ &= ~(uint64_t{1} << b);
+  }
+  front_pos_ = 0;
+  keys_ = live_;
   tombstones_ = 0;
-  HeapifyAll();
 }
 
-void EventQueue::ExecuteHead(const HeapKey& head) {
-  PopRoot();
+void EventQueue::ExecuteHead(const Key& head) {
+  PopFront();
   Slot& s = slots_[head.slot];
   const uint64_t kind = s.kind;
   const uint64_t payload = s.payload;
@@ -233,7 +249,7 @@ void EventQueue::ExecuteHead(const HeapKey& head) {
   if (kind == kClosure) action = std::move(actions_[head.slot]);
   FreeSlot(head.slot);  // before dispatch: the action may reuse the slot
   --live_;
-  now_ = head.time;
+  now_ = BitsTime(head.bits);
   if (kind == kClosure) {
     action();
   } else {
@@ -245,10 +261,11 @@ void EventQueue::ExecuteHead(const HeapKey& head) {
 }
 
 bool EventQueue::RunNext() {
-  while (!heap_.empty()) {
-    const HeapKey head = heap_.front();
+  while ((occupied_ & 1) != 0 ||
+         Refill(std::numeric_limits<double>::infinity())) {
+    const Key head = Front();
     if (slots_[head.slot].gen != head.gen) {  // tombstone: discard lazily
-      PopRoot();
+      PopFront();
       --tombstones_;
       continue;
     }
@@ -260,15 +277,16 @@ bool EventQueue::RunNext() {
 
 template <bool kObserved>
 void EventQueue::RunLoop(double horizon) {
-  while (!heap_.empty()) {
-    const HeapKey head = heap_.front();
+  while ((occupied_ & 1) != 0 || Refill(horizon)) {
+    const Key head = Front();
     Slot& s = slots_[head.slot];
     if (s.gen != head.gen) {  // tombstone: discard lazily
-      PopRoot();
+      PopFront();
       --tombstones_;
       continue;
     }
-    if (head.time > horizon) break;
+    const double time = BitsTime(head.bits);
+    if (time > horizon) break;
     const uint64_t kind = s.kind;
     if (kind == kClosure) {
       // Closure event (faults, timers, tests): cold path; ExecuteHead fires
@@ -277,16 +295,13 @@ void EventQueue::RunLoop(double horizon) {
       continue;
     }
     // Handler dispatch, inlined (no action column, no std::function).
-    PopRoot();
+    PopFront();
     const uint64_t payload = s.payload;
     s.gen = kFreeGen;
     s.next_free = free_head_;
     free_head_ = head.slot;
     --live_;
-    now_ = head.time;
-    // Pull the next event's slab line in while this handler runs — one
-    // handler execution (~100 ns) of prefetch distance.
-    if (!heap_.empty()) __builtin_prefetch(&slots_[heap_.front().slot]);
+    now_ = time;
     const HandlerRec h = handlers_[kind];
     h.fn(h.ctx, payload);
     ++executed_;

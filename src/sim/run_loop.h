@@ -9,8 +9,8 @@
 // (registry) ...` masks the hot loop used to re-evaluate per event are gone:
 // each instantiation contains only the code its variant needs, and the
 // kPlain variant installs no observer at all, so the kernel runs its
-// unobserved loop. std::function observers survive only on the cold
-// configuration path (EventQueue::set_observer's boxing overload).
+// unobserved loop. The kernel takes observers only in raw
+// (function pointer, context) form.
 
 #ifndef VOD_SIM_RUN_LOOP_H_
 #define VOD_SIM_RUN_LOOP_H_

@@ -592,6 +592,7 @@ Result<ServerReport> RunServerSimulation(
   }
 
   ServerReport report;
+  report.executed_events = queue.executed();
   if (manager != nullptr) {
     report.reserve_capacity = manager->nominal_capacity();
     report.mean_reserve_in_use = manager->MeanInUse(horizon);

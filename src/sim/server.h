@@ -158,6 +158,12 @@ struct ServerReport {
   bool controller_enabled = false;
   ControllerReport controller;
 
+  /// Kernel events executed over the whole run (incl. warmup). Diagnostics
+  /// only — excluded from ToString, as in SimulationReport and
+  /// ShardedServerReport, so report text stays stable across
+  /// kernel-internal changes.
+  uint64_t executed_events = 0;
+
   /// Full-precision deterministic serialization of every field (including
   /// the transition log); two runs with identical options must produce
   /// byte-identical strings.

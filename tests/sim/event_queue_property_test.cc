@@ -1,12 +1,15 @@
-// Property and regression tests for the slab/4-ary heap event-queue kernel.
+// Property and regression tests for the slab/radix-heap event-queue kernel.
 //
 //  * Randomized property test: the kernel is driven with a mixed
 //    schedule/cancel/pop workload and compared op-for-op against a naive
 //    std::multimap reference keyed by (time, insertion sequence). Covers pop
 //    order, Cancel semantics, and stale-token safety while slots are being
 //    reused. Labeled "unit" so the asan/ubsan and tsan CI legs execute it.
-//  * Compaction regression: cancel-heavy bursts must not pin heap memory
+//  * Compaction regression: cancel-heavy bursts must not pin key memory
 //    (the lazy-deletion leak the compactor exists to prevent).
+//  * Radix-heap edge cases: a RunUntil horizon before the earliest key,
+//    signed zero, infinite and extreme times, equal times reaching the
+//    front bucket by different routes, and key storage after a long hold.
 
 #include "sim/event_queue.h"
 
@@ -14,6 +17,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
@@ -62,7 +66,10 @@ TEST(EventQueuePropertyTest, MatchesMultimapReferenceUnderRandomMix) {
     // Handler path: payload is the event id. Exercises the allocation-free
     // fast path alongside closure events.
     const uint64_t kHandlerKind = q.AddHandler(
-        [&executed_ids](uint64_t payload) { executed_ids.push_back(payload); });
+        [](void* ids, uint64_t payload) {
+          static_cast<std::vector<uint64_t>*>(ids)->push_back(payload);
+        },
+        &executed_ids);
 
     // Live bookkeeping: token -> (event id, reference key). Dead tokens move
     // to `stale_tokens` and are fired at the kernel later, while their slots
@@ -192,7 +199,7 @@ TEST(EventQueueCompactionTest, CancelHeavyBurstDoesNotPinHeapMemory) {
   for (int i = 0; i < kBurst - 10; ++i) q.Cancel(tokens[i]);
   EXPECT_EQ(q.pending(), 10u);
   // Invariant maintained by Cancel: tombstones <= max(live, threshold).
-  EXPECT_LE(q.heap_nodes(), 2u * q.pending() + 64u)
+  EXPECT_LE(q.keys_held(), 2u * q.pending() + 64u)
       << "cancelled keys are pinning heap memory";
 }
 
@@ -218,7 +225,7 @@ TEST(EventQueueCompactionTest, RepeatedBurstsKeepSlabAndHeapBounded) {
     q.RunUntil(base + kWave);  // drain the survivors
   }
   EXPECT_EQ(q.pending(), 0u);
-  EXPECT_EQ(q.heap_nodes(), 0u);
+  EXPECT_EQ(q.keys_held(), 0u);
   EXPECT_LE(q.slab_slots(), max_concurrent + 64)
       << "slab grew with throughput instead of peak population";
 }
@@ -238,7 +245,7 @@ TEST(EventQueueCompactionTest, CompactionPreservesExecutionOrder) {
     }
   }
   for (const EventToken t : victims) q.Cancel(t);  // 800 tombstones -> compact
-  EXPECT_LE(q.heap_nodes(), 2u * q.pending() + 64u);
+  EXPECT_LE(q.keys_held(), 2u * q.pending() + 64u);
   while (q.RunNext()) {
   }
   ASSERT_EQ(order.size(), 200u);
@@ -250,6 +257,208 @@ TEST(EventQueueCompactionTest, CompactionPreservesExecutionOrder) {
     return (a * 37) % 500 < (b * 37) % 500;
   });
   EXPECT_EQ(order, survivors);
+}
+
+// ---- radix-heap edge cases ---------------------------------------------------
+
+/// Logs each handler event's payload and the time it ran at.
+struct RunLog {
+  EventQueue q;
+  uint64_t kind = 0;
+  std::vector<uint64_t> ids;
+  std::vector<double> times;
+
+  RunLog() {
+    kind = q.AddHandler(
+        [](void* c, uint64_t id) {
+          RunLog* log = static_cast<RunLog*>(c);
+          log->ids.push_back(id);
+          log->times.push_back(log->q.Now());
+        },
+        this);
+  }
+  EventToken At(double t, uint64_t id) { return q.ScheduleHandler(t, kind, id); }
+};
+
+TEST(EventQueueRadixTest, HorizonBeforeEarliestKeyCommitsNothing) {
+  // RunUntil(h) stops while the earliest key is after h, live or cancelled.
+  // Drivers then schedule between h and that key; those events must run
+  // first, in (time, schedule order).
+  for (const bool tombstoned : {false, true}) {
+    RunLog log;
+    log.At(1.0, 1);
+    const EventToken earliest = log.At(10.0, 10);
+    log.At(12.0, 12);
+    if (tombstoned) log.q.Cancel(earliest);
+    log.q.RunUntil(5.0);
+    EXPECT_EQ(log.ids, (std::vector<uint64_t>{1}));
+    EXPECT_EQ(log.q.Now(), 5.0);
+    log.At(9.5, 95);
+    log.At(5.0, 50);
+    log.At(7.25, 72);
+    log.At(7.25, 73);
+    log.At(10.0, 100);
+    log.q.RunUntil(20.0);
+    const std::vector<uint64_t> expected =
+        tombstoned ? std::vector<uint64_t>{1, 50, 72, 73, 95, 100, 12}
+                   : std::vector<uint64_t>{1, 50, 72, 73, 95, 10, 100, 12};
+    EXPECT_EQ(log.ids, expected) << "tombstoned " << tombstoned;
+  }
+}
+
+TEST(EventQueueRadixTest, EmptiedQueueAcceptsTimesBeforeDroppedMinimum) {
+  // RunNext drops a cancelled key at t = 10 and finds the queue empty; the
+  // clock is still at 1, so events between 1 and 10 must run in order.
+  RunLog log;
+  log.At(1.0, 1);
+  log.q.Cancel(log.At(10.0, 10));
+  EXPECT_TRUE(log.q.RunNext());
+  EXPECT_FALSE(log.q.RunNext());
+  EXPECT_EQ(log.q.Now(), 1.0);
+  log.At(6.0, 6);
+  log.At(2.0, 2);
+  log.At(9.0, 9);
+  log.At(1.5, 15);
+  log.q.RunUntil(20.0);
+  EXPECT_EQ(log.ids, (std::vector<uint64_t>{1, 15, 2, 6, 9}));
+}
+
+TEST(EventQueueRadixTest, WindowedRunsMatchReference) {
+  // A windowed driver: each window runs to its horizon, then schedules keys
+  // anywhere from the horizon on, some exactly at it, while a random share
+  // of pending keys is cancelled.
+  for (const uint64_t seed : {3ULL, 77ULL}) {
+    RunLog log;
+    MixRng rng(seed);
+    std::multimap<std::pair<double, uint64_t>, uint64_t> ref;
+    std::vector<std::pair<EventToken, std::pair<double, uint64_t>>> tokens;
+    std::vector<uint64_t> expected;
+    uint64_t seq = 0;
+    double horizon = 0.0;
+    for (int window = 0; window < 300; ++window) {
+      const int n = static_cast<int>(rng.Below(40));
+      for (int i = 0; i < n; ++i) {
+        const double t =
+            rng.Below(4) == 0 ? horizon
+                              : horizon + static_cast<double>(rng.Below(400)) / 8.0;
+        const auto key = std::make_pair(t, seq);
+        tokens.emplace_back(log.At(t, seq), key);
+        ref.emplace(key, seq++);
+      }
+      if (!tokens.empty() && rng.Below(3) == 0) {
+        const size_t victim = rng.Below(tokens.size());
+        const auto it = ref.find(tokens[victim].second);
+        if (it != ref.end()) {
+          log.q.Cancel(tokens[victim].first);
+          ref.erase(it);
+        }
+      }
+      horizon += static_cast<double>(rng.Below(24)) / 4.0;
+      log.q.RunUntil(horizon);
+      while (!ref.empty() && ref.begin()->first.first <= horizon) {
+        expected.push_back(ref.begin()->second);
+        ref.erase(ref.begin());
+      }
+      ASSERT_EQ(log.ids, expected) << "seed " << seed << " window " << window;
+      ASSERT_EQ(log.q.pending(), ref.size());
+    }
+  }
+}
+
+TEST(EventQueueRadixTest, SignedZeroInfinityAndExtremeTimesRunInOrder) {
+  // -0.0 equals +0.0 and must tie with it in schedule order; +inf is a
+  // valid time; times over 1e-300 .. 1e300 span almost every exponent.
+  RunLog log;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> scheduled = {0.0,
+                                   -0.0,
+                                   0.0,
+                                   kInf,
+                                   std::numeric_limits<double>::denorm_min(),
+                                   std::numeric_limits<double>::max(),
+                                   kInf};
+  for (int e = -300; e <= 300; e += 7) {
+    scheduled.push_back(std::stod("1e" + std::to_string(e)));
+  }
+  // Schedule in a scrambled order so no bucket is filled in time order.
+  std::vector<size_t> order(scheduled.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = (i * 37) % order.size();
+  std::vector<std::pair<double, uint64_t>> ref;
+  for (const size_t i : order) {
+    ref.emplace_back(scheduled[i] + 0.0, ref.size());
+    log.At(scheduled[i], ref.size() - 1);
+  }
+  std::stable_sort(ref.begin(), ref.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  log.q.RunUntil(kInf);
+  ASSERT_EQ(log.ids.size(), ref.size());
+  for (size_t i = 0; i < ref.size(); ++i) {
+    EXPECT_EQ(log.ids[i], ref[i].second) << "position " << i;
+    EXPECT_EQ(log.times[i], ref[i].first) << "position " << i;
+  }
+  EXPECT_EQ(log.q.Now(), kInf);
+  // The clock stays usable at +inf and after an empty queue.
+  log.At(kInf, 999);
+  EXPECT_TRUE(log.q.RunNext());
+  EXPECT_EQ(log.ids.back(), 999u);
+  EXPECT_FALSE(log.q.RunNext());
+}
+
+TEST(EventQueueRadixTest, EqualTimesFromRefillAndDirectPushKeepScheduleOrder) {
+  // Keys at t = 5 scheduled while the minimum was 0 and while it was 3 reach
+  // the front bucket together through a refill; keys scheduled while the
+  // minimum is 5 are pushed onto the front bucket directly. All of them run
+  // in schedule order.
+  struct Cascade {
+    RunLog log;
+    uint64_t spawn = 0;
+  } c;
+  c.spawn = c.log.q.AddHandler(
+      [](void* ctx, uint64_t id) {
+        Cascade* cc = static_cast<Cascade*>(ctx);
+        cc->log.ids.push_back(id);
+        if (id == 3) {  // at t = 3: two more keys at 5, pushed against 3
+          cc->log.At(5.0, 7);
+          cc->log.q.ScheduleHandler(5.0, cc->spawn, 8);
+        } else if (id == 8) {  // at t = 5: direct pushes onto the front
+          cc->log.At(5.0, 9);
+          cc->log.At(5.0, 10);
+        }
+      },
+      &c);
+  c.log.At(5.0, 1);
+  c.log.At(5.0, 2);
+  c.log.q.ScheduleHandler(3.0, c.spawn, 3);
+  c.log.At(5.0, 4);
+  c.log.At(6.0, 11);
+  c.log.q.RunUntil(10.0);
+  EXPECT_EQ(c.log.ids,
+            (std::vector<uint64_t>{3, 1, 2, 4, 7, 8, 9, 10, 11}));
+}
+
+TEST(EventQueueRadixTest, KeyStorageFollowsPendingThroughLongHold) {
+  // After 10^6 hold steps at the catalog's 19,250 pending events, key
+  // storage stays within 1.25x of the keys held. Buckets that kept the
+  // largest buffer they ever had hold several times that: which buckets
+  // fill depends on the bits of the current time, so they change as the
+  // clock passes powers of two.
+  constexpr size_t kPending = 19250;
+  EventQueue q;
+  const uint64_t kind = q.AddHandler([](void*, uint64_t) {}, nullptr);
+  MixRng rng(9);
+  const double range = static_cast<double>(kPending);
+  const auto draw = [&rng, range] {
+    return static_cast<double>(rng.Below(1 << 20)) * range / (1 << 20);
+  };
+  for (size_t i = 0; i < kPending; ++i) q.ScheduleHandler(draw(), kind, i);
+  for (int step = 0; step < 1000000; ++step) {
+    ASSERT_TRUE(q.RunNext());
+    q.ScheduleHandler(q.Now() + draw(), kind, 0);
+  }
+  EXPECT_EQ(q.pending(), kPending);
+  EXPECT_LE(q.key_capacity(), kPending + kPending / 4)
+      << "key storage grew beyond the keys held";
 }
 
 }  // namespace

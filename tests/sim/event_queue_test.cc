@@ -149,11 +149,18 @@ TEST(EventQueueTest, ObserverFiresAfterEachExecutedEvent) {
   EventQueue q;
   std::vector<double> observed;
   int side_effect = 0;
-  q.set_observer([&](double t) {
-    observed.push_back(t);
-    // Observer fires *after* the action: state must be settled.
-    EXPECT_GT(side_effect, 0);
-  });
+  struct Seen {
+    std::vector<double>* observed;
+    const int* side_effect;
+  } seen{&observed, &side_effect};
+  q.set_observer(
+      [](void* c, double t) {
+        Seen* s = static_cast<Seen*>(c);
+        s->observed->push_back(t);
+        // Observer fires *after* the action: state must be settled.
+        EXPECT_GT(*s->side_effect, 0);
+      },
+      &seen);
   q.Schedule(1.0, [&] { ++side_effect; });
   const EventToken t = q.Schedule(2.0, [&] { ++side_effect; });
   q.Schedule(3.0, [&] { ++side_effect; });

@@ -62,6 +62,16 @@ TEST(ServerTest, DeterministicAndPerMovieReports) {
             a->movies[1].report.total_resumes);
 }
 
+TEST(ServerTest, ReportsExecutedEventsDeterministically) {
+  const auto a = RunServerSimulation(TwoMovies(), BaseOptions(500));
+  const auto b = RunServerSimulation(TwoMovies(), BaseOptions(500));
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_GT(a->executed_events, 0u);
+  EXPECT_EQ(a->executed_events, b->executed_events);
+  // Diagnostics only: the count is not part of the report text.
+  EXPECT_EQ(a->ToString().find("executed"), std::string::npos);
+}
+
 TEST(ServerTest, AmpleReserveNeverRefuses) {
   const auto report = RunServerSimulation(TwoMovies(), BaseOptions(2000));
   ASSERT_TRUE(report.ok());
