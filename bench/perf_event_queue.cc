@@ -170,6 +170,35 @@ void BM_CancelBurstThenDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_CancelBurstThenDrain)->Arg(1000)->Arg(10000)->Arg(100000);
 
+// A burst scheduled inside the span of a live front run: 600 and 1000
+// share a bucket, so the first pop sorts both into the run and anchors it
+// at 1000, and every key of the burst lands in [601, 999). Without the
+// run's re-anchor cap each insert would shift the whole run. One iteration
+// = `range(0)` schedules; the setup and the drain run untimed.
+void BM_BurstInsideFrontRun(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  BenchRng rng(29);
+  for (auto _ : state) {
+    state.PauseTiming();
+    EventQueue q;
+    const uint64_t kind = q.AddHandler(&IgnorePayload, nullptr);
+    q.Reserve(n + 2);
+    q.ScheduleHandler(600.0, kind, 0);
+    q.ScheduleHandler(1000.0, kind, 0);
+    q.RunNext();
+    state.ResumeTiming();
+    for (size_t i = 0; i < n; ++i) {
+      q.ScheduleHandler(601.0 + rng.Time(398.0), kind, i);
+    }
+    state.PauseTiming();
+    benchmark::DoNotOptimize(q.pending());
+    q.RunUntil(1000.0);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BurstInsideFrontRun)->Arg(100000);
+
 // Closure path (std::function allocation per schedule) at hold steady
 // state, for comparison against BM_HoldModel's handler path. The gap is
 // what the tagged-dispatch table buys.

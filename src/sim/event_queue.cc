@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -33,6 +32,7 @@ void EventQueue::Reserve(size_t events) {
   const size_t blocks = events / kBlockKeys + kBuckets;
   blocks_.reserve(blocks * kBlockKeys);
   next_block_.reserve(blocks);
+  run_.reserve(kRunCap);
 }
 
 uint32_t EventQueue::AllocSlot() {
@@ -57,8 +57,7 @@ void EventQueue::FreeSlot(uint32_t slot) {
 }
 
 EventToken EventQueue::Enqueue(double time, uint64_t kind, uint64_t payload) {
-  // Also keeps every key at or after the committed minimum (it is never
-  // later than Now()), which the bucket arithmetic relies on.
+  // Also keeps every key at or after Now(), which a re-anchor relies on.
   VOD_CHECK_MSG(time >= now_, "cannot schedule an event in the past");
   if (next_gen_ == kFreeGen) next_gen_ = 0;  // skip the free sentinel on wrap
   const uint32_t gen = next_gen_++;
@@ -67,8 +66,7 @@ EventToken EventQueue::Enqueue(double time, uint64_t kind, uint64_t payload) {
   s.gen = gen;
   s.kind = kind;
   s.payload = payload;
-  const Key key{TimeBits(time), gen, slot};
-  Append(std::bit_width(key.bits ^ last_), key);
+  Push(Key{TimeBits(time), gen, slot});
   ++keys_;
   ++live_;
   return (static_cast<uint64_t>(gen) << 32) | slot;
@@ -123,7 +121,17 @@ void EventQueue::FreeBlock(uint32_t block) {
   free_block_ = block;
 }
 
-void EventQueue::Append(int b, const Key& key) {
+void EventQueue::Push(const Key& key) {
+  if (key.bits > last_) {
+    Append(std::bit_width(key.bits ^ last_), key);
+  } else {
+    InsertRun(key);
+  }
+}
+
+// Inline: it is on every schedule's path, and with three callers GCC 12
+// otherwise calls it out of line.
+inline void EventQueue::Append(int b, const Key& key) {
   Bucket& bucket = buckets_[b];
   if (bucket.fill == kBlockKeys) {
     const uint32_t block = AllocBlock();
@@ -140,35 +148,72 @@ void EventQueue::Append(int b, const Key& key) {
   occupied_ |= uint64_t{1} << b;
 }
 
-const EventQueue::Key& EventQueue::Front() const {
-  return blocks_[size_t{buckets_[0].head} * kBlockKeys + front_pos_];
+void EventQueue::InsertRun(const Key& key) {
+  if (run_.empty() || key.bits >= run_.back().bits) {
+    // Append. Once the consumed prefix is at least half the run, a full
+    // buffer slides the live keys down instead of growing, so storage
+    // follows the live run, not the keys it has ever held.
+    if (run_.size() == run_.capacity() && 2 * run_head_ >= run_.size()) {
+      run_.erase(run_.begin(),
+                 run_.begin() + static_cast<ptrdiff_t>(run_head_));
+      run_head_ = 0;
+    }
+    run_.push_back(key);
+    return;
+  }
+  const auto first = run_.begin() + static_cast<ptrdiff_t>(run_head_);
+  if (static_cast<size_t>(run_.end() - first) >= kRunCap) {
+    Reanchor();
+    Push(key);  // against the new anchor: a bucket, or the run if at Now()
+    return;
+  }
+  const auto pos = std::upper_bound(
+      first, run_.end(), key.bits,
+      [](uint64_t bits, const Key& k) { return bits < k.bits; });
+  if (run_head_ > 0) {  // shift the earlier keys into the consumed prefix
+    std::move(first, pos, first - 1);
+    *(pos - 1) = key;
+    --run_head_;
+  } else {
+    run_.insert(pos, key);
+  }
 }
 
 void EventQueue::PopFront() {
   --keys_;
-  Bucket& front = buckets_[0];
-  const bool tail = front.head == front.tail;
-  if (++front_pos_ < (tail ? front.fill : kBlockKeys)) return;
-  front_pos_ = 0;
-  if (tail) {  // drained: the block stays as the bucket's home
-    front.fill = 0;
-    occupied_ &= ~uint64_t{1};
-  } else {
-    const uint32_t done = front.head;
-    front.head = next_block_[done];
-    FreeBlock(done);
+  if (++run_head_ == run_.size()) {
+    run_.clear();
+    run_head_ = 0;
   }
 }
 
-bool EventQueue::Refill(double horizon) {
+bool EventQueue::Refill() {
   if (occupied_ == 0) {
-    // Nothing held: a minimum committed for keys since dropped may be
-    // later than Now(), and the next key may be as early as Now().
+    // Nothing held: re-anchor at Now(), so keys scheduled next start in
+    // the buckets, not as inserts into the middle of a run.
     last_ = TimeBits(now_);
     return false;
   }
   const int from = std::countr_zero(occupied_);
   const Bucket src = buckets_[from];
+  buckets_[from] = Bucket{src.head, src.head, 0};
+  occupied_ &= ~(uint64_t{1} << from);
+  if (src.head == src.tail) {
+    // One block: the whole bucket becomes the run, insertion-sorted on bits
+    // (stable, so equal times keep the bucket's gen order), and its largest
+    // key the anchor. The new anchor agrees with the old one on every bit
+    // at or above `from`, so every higher bucket stays valid.
+    const Key* keys = &blocks_[size_t{src.head} * kBlockKeys];
+    run_.assign(keys, keys + src.fill);
+    for (size_t i = 1; i < run_.size(); ++i) {
+      const Key key = run_[i];
+      size_t j = i;
+      for (; j > 0 && run_[j - 1].bits > key.bits; --j) run_[j] = run_[j - 1];
+      run_[j] = key;
+    }
+    last_ = run_.back().bits;
+    return true;
+  }
   uint64_t min = ~uint64_t{0};
   for (uint32_t block = src.head;; block = next_block_[block]) {
     const uint32_t n = block == src.tail ? src.fill : kBlockKeys;
@@ -176,16 +221,12 @@ bool EventQueue::Refill(double horizon) {
     for (uint32_t i = 0; i < n; ++i) min = std::min(min, keys[i].bits);
     if (block == src.tail) break;
   }
-  // A minimum after the horizon stays uncommitted, so callers may still
-  // schedule between the horizon and it.
-  if (BitsTime(min) > horizon) return false;
   last_ = min;
-  buckets_[from] = Bucket{src.head, src.head, 0};
-  occupied_ &= ~(uint64_t{1} << from);
-  // Every bucket below `from` is empty, so appending in src's order keeps
-  // each one in gen order; every key moves to a strictly lower bucket.
-  // Blocks but the home one go back to the pool once read. (Keys are read
-  // by index: an Append may grow the pool.)
+  // Keys at the minimum form the run in src's order; every bucket below
+  // `from` is empty, so appending in src's order keeps each one in gen
+  // order, and every other key moves to a strictly lower bucket. Blocks
+  // but the home one go back to the pool once read. (Keys are read by
+  // index: an Append may grow the pool.)
   for (uint32_t block = src.head;;) {
     const bool tail = block == src.tail;
     const uint32_t n = tail ? src.fill : kBlockKeys;
@@ -193,7 +234,11 @@ bool EventQueue::Refill(double horizon) {
     const size_t base = size_t{block} * kBlockKeys;
     for (uint32_t i = 0; i < n; ++i) {
       const Key key = blocks_[base + i];
-      Append(std::bit_width(key.bits ^ min), key);
+      if (key.bits == min) {
+        run_.push_back(key);
+      } else {
+        Append(std::bit_width(key.bits ^ min), key);
+      }
     }
     if (block != src.head) FreeBlock(block);
     if (tail) return true;
@@ -201,15 +246,66 @@ bool EventQueue::Refill(double horizon) {
   }
 }
 
+void EventQueue::Reanchor() {
+  // Every held key is at or after Now(), so the run's keys at Now() are
+  // its head and stay; the rest of the run and every bucket are gathered
+  // in order (keys of equal bits all come from one of them, in gen order)
+  // and re-bucketed against Now(). Tombstones are dropped on the way.
+  const uint64_t anchor = TimeBits(now_);
+  std::vector<Key> held;
+  held.reserve(keys_);
+  size_t kept = 0;
+  for (size_t i = run_head_; i < run_.size(); ++i) {
+    const Key key = run_[i];
+    if (slots_[key.slot].gen != key.gen) continue;  // tombstone
+    if (key.bits == anchor) {
+      run_[kept++] = key;
+    } else {
+      held.push_back(key);
+    }
+  }
+  run_.resize(kept);
+  run_head_ = 0;
+  for (uint64_t m = occupied_; m != 0; m &= m - 1) {
+    const int b = std::countr_zero(m);
+    const Bucket bucket = buckets_[b];
+    for (uint32_t block = bucket.head;;) {
+      const bool tail = block == bucket.tail;
+      const uint32_t n = tail ? bucket.fill : kBlockKeys;
+      const uint32_t next = next_block_[block];
+      const Key* keys = &blocks_[size_t{block} * kBlockKeys];
+      for (uint32_t i = 0; i < n; ++i) {
+        if (slots_[keys[i].slot].gen == keys[i].gen) held.push_back(keys[i]);
+      }
+      if (block != bucket.head) FreeBlock(block);
+      if (tail) break;
+      block = next;
+    }
+    buckets_[b] = Bucket{bucket.head, bucket.head, 0};
+  }
+  occupied_ = 0;
+  last_ = anchor;
+  for (const Key& key : held) Append(std::bit_width(key.bits ^ anchor), key);
+  keys_ = live_;
+  tombstones_ = 0;
+}
+
 void EventQueue::CompactKeys() {
-  // In place, bucket by bucket, keeping each bucket's order; consumed front
-  // keys go too, and blocks left empty, but a bucket's home block, return
-  // to the pool.
+  // In place, keeping each bucket's and the run's order; the run's consumed
+  // prefix goes too, and blocks left empty, but a bucket's home block,
+  // return to the pool.
+  size_t run_kept = 0;
+  for (size_t i = run_head_; i < run_.size(); ++i) {
+    const Key key = run_[i];
+    if (slots_[key.slot].gen == key.gen) run_[run_kept++] = key;
+  }
+  run_.resize(run_kept);
+  run_head_ = 0;
   for (uint64_t m = occupied_; m != 0; m &= m - 1) {
     const int b = std::countr_zero(m);
     Bucket& bucket = buckets_[b];
     uint32_t read = bucket.head;
-    uint32_t pos = b == 0 ? front_pos_ : 0;
+    uint32_t pos = 0;
     uint32_t write = bucket.head;
     uint32_t kept = 0;
     for (;;) {
@@ -235,7 +331,6 @@ void EventQueue::CompactKeys() {
     bucket.fill = kept;
     if (kept == 0) occupied_ &= ~(uint64_t{1} << b);
   }
-  front_pos_ = 0;
   keys_ = live_;
   tombstones_ = 0;
 }
@@ -261,9 +356,8 @@ void EventQueue::ExecuteHead(const Key& head) {
 }
 
 bool EventQueue::RunNext() {
-  while ((occupied_ & 1) != 0 ||
-         Refill(std::numeric_limits<double>::infinity())) {
-    const Key head = Front();
+  while (run_head_ < run_.size() || Refill()) {
+    const Key head = run_[run_head_];
     if (slots_[head.slot].gen != head.gen) {  // tombstone: discard lazily
       PopFront();
       --tombstones_;
@@ -277,8 +371,8 @@ bool EventQueue::RunNext() {
 
 template <bool kObserved>
 void EventQueue::RunLoop(double horizon) {
-  while ((occupied_ & 1) != 0 || Refill(horizon)) {
-    const Key head = Front();
+  while (run_head_ < run_.size() || Refill()) {
+    const Key head = run_[run_head_];
     Slot& s = slots_[head.slot];
     if (s.gen != head.gen) {  // tombstone: discard lazily
       PopFront();

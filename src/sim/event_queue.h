@@ -13,12 +13,21 @@
 //
 // The radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990) relies on two
 // facts: the clock is monotone (Enqueue rejects time < Now()), and
-// non-negative IEEE-754 doubles order like their bit patterns. A key's
-// bucket is the highest bit where its time's bits differ from those of the
-// last committed minimum, so a key only ever moves to lower buckets, and
-// the front bucket 0 holds exactly the keys at that minimum, in schedule
-// order. Keys are stored in fixed-size blocks from one pool owned by the
-// queue, so steady state never calls the allocator.
+// non-negative IEEE-754 doubles order like their bit patterns. Its front is
+// a sorted run: the keys at or before an anchor `last_`, in (time, schedule
+// order), consumed from a head index. Every later key sits in the bucket of
+// the highest bit where its time's bits differ from the anchor's, so a key
+// only ever moves to lower buckets. When the run drains, the lowest bucket
+// refills it: a bucket that fits in one 32-key block is moved into the run
+// whole, insertion-sorted on its time bits, and the anchor becomes its
+// largest key; a larger bucket is split by its least key, as in the
+// textbook heap. A key scheduled at or before the anchor is inserted into
+// the run after every key of equal time. Such inserts are capped: one into
+// the middle of a run holding 64 keys re-anchors the heap at Now(), so a
+// burst of events scheduled inside a long run's span costs O(keys held)
+// once, not O(run length) per event. Bucket keys are stored in fixed-size
+// blocks from one pool owned by the queue, so steady state never calls the
+// allocator.
 //
 // There is one dispatch loop, executing events strictly one at a time in
 // (time, insertion sequence) order. It is a template instantiated with and
@@ -78,9 +87,10 @@ class EventQueue {
   /// usable with Cancel.
   EventToken Schedule(double time, std::function<void()> action);
 
-  /// Pre-sizes the slab and the key pool for about `events` concurrently
-  /// pending events, so a run that stays under the estimate never grows
-  /// kernel storage mid-simulation. Purely an optimization hint.
+  /// Pre-sizes the slab, the key pool and the front run for about `events`
+  /// concurrently pending events, so a run that stays under the estimate
+  /// never grows kernel storage mid-simulation. Purely an optimization
+  /// hint.
   void Reserve(size_t events);
 
   /// Cancels a scheduled event. Cancelling an already-run, already-cancelled,
@@ -111,9 +121,9 @@ class EventQueue {
   /// regression tests bound this against pending()).
   size_t keys_held() const { return keys_; }
 
-  /// Key slots in the block pool (diagnostics; the memory regression test
-  /// bounds this against pending()).
-  size_t key_capacity() const { return blocks_.size(); }
+  /// Key slots in the block pool and the front run (diagnostics; the
+  /// memory regression test bounds this against pending()).
+  size_t key_capacity() const { return blocks_.size() + run_.capacity(); }
 
   /// Slab slots allocated so far (diagnostics; bounded by the peak number
   /// of concurrently pending events, not by throughput).
@@ -137,8 +147,9 @@ class EventQueue {
   static constexpr uint64_t kClosure = ~uint64_t{0};
   /// Free-list terminator.
   static constexpr uint32_t kNilSlot = 0xFFFFFFFFu;
-  /// Buckets: 0 for the committed minimum's own bits, b >= 1 for a highest
-  /// differing bit of b - 1. Times are >= +0.0, so bit 63 never differs.
+  /// Buckets: b >= 1 holds the keys after `last_` whose highest bit
+  /// differing from it is b - 1; bucket 0 is unused (those keys are in the
+  /// run). Times are >= +0.0, so bit 63 never differs.
   static constexpr int kBuckets = 64;
   /// Keys per storage block (512 bytes). Buckets are chains of blocks
   /// drawn from one pool, so every bucket grows and drains without a call
@@ -148,6 +159,9 @@ class EventQueue {
   static constexpr uint32_t kBlockKeys = 32;
   /// Chain terminator.
   static constexpr uint32_t kNoBlock = 0xFFFFFFFFu;
+  /// Run length at which an insert into the middle of the run re-anchors
+  /// the heap at Now() instead of shifting keys (see Reanchor).
+  static constexpr size_t kRunCap = 64;
 
   /// One slab slot: 24-byte POD. The event's payload stays put here while
   /// the buckets move only 16-byte keys. `gen` is stamped from a global
@@ -165,12 +179,13 @@ class EventQueue {
 
   /// 16-byte key. `bits` is the event time's bit pattern (-0.0 normalised
   /// to +0.0), which orders like the time itself. `gen` is issued by a
-  /// monotone counter per Schedule call, so it is the insertion sequence;
-  /// buckets are appended to in gen order and refilled into empty buckets
-  /// in their own order, so every bucket — the front one included — stays
-  /// in gen order without a comparison. (The u32 counter wraps after 2^32
-  /// schedules; a token would have to survive that long while its slot is
-  /// reused to alias — live tokens never do.)
+  /// monotone counter per Schedule call, so it is the insertion sequence.
+  /// Keys are never compared by gen: buckets are appended to in gen order
+  /// and refilled into empty buckets in their own order, the run is sorted
+  /// stably on bits alone, and a key joins the run after every key of equal
+  /// bits, so keys of equal time stay in gen order everywhere. (The u32
+  /// counter wraps after 2^32 schedules; a token would have to survive that
+  /// long while its slot is reused to alias — live tokens never do.)
   struct Key {
     uint64_t bits;
     uint32_t gen;
@@ -200,21 +215,29 @@ class EventQueue {
   /// Stamps a slot and pushes its key: the common body of both Schedule
   /// forms.
   EventToken Enqueue(double time, uint64_t kind, uint64_t payload);
+  /// Places a new key: into the run if at or before `last_`, else into
+  /// its bucket.
+  void Push(const Key& key);
   /// Appends `key` to bucket `b`.
   void Append(int b, const Key& key);
+  /// Inserts `key` (bits <= last_) into the run after every key of equal
+  /// or lower bits; re-anchors instead when that would shift a run already
+  /// holding kRunCap keys.
+  void InsertRun(const Key& key);
   /// Takes a block from the pool's free list, growing the pool if none.
   uint32_t AllocBlock();
   void FreeBlock(uint32_t block);
-  /// The front key: bucket 0's head block at front_pos_.
-  const Key& Front() const;
   /// Removes the front key.
   void PopFront();
-  /// Makes bucket 0 non-empty: commits the least key of the lowest
-  /// non-empty bucket as the minimum and spreads that bucket over the lower
-  /// ones. Commits nothing, and returns false, when no key is held or the
-  /// least key is after `horizon` — callers may still schedule between
-  /// `horizon` and that key. Re-anchors the minimum at Now() when empty.
-  bool Refill(double horizon);
+  /// Refills the drained run from the lowest non-empty bucket: moves the
+  /// whole bucket into the run, sorted, if it fits in one block, else
+  /// commits its least key and spreads the rest over the lower buckets.
+  /// Returns false, and re-anchors at Now(), when no key is held.
+  bool Refill();
+  /// Re-anchors the heap at Now(): every held key is re-bucketed against
+  /// Now()'s bits and only keys at exactly Now() stay in the run; drops
+  /// tombstones on the way. O(keys held).
+  void Reanchor();
   /// Drops every tombstoned key in place, returning emptied blocks to the
   /// pool. Called from Cancel when tombstones exceed the live keys, so a
   /// cancel-heavy burst (mass abandonment) cannot pin key storage until its
@@ -234,9 +257,12 @@ class EventQueue {
   std::vector<Key> blocks_;           ///< key pool, kBlockKeys per block
   std::vector<uint32_t> next_block_;  ///< chain or free-list link per block
   uint32_t free_block_ = kNoBlock;
-  uint32_t front_pos_ = 0;  ///< next key of bucket 0's head block
+  /// The front run: keys at or before `last_` from run_head_ on, sorted by
+  /// (bits, gen); entries before run_head_ are consumed. Empty when drained.
+  std::vector<Key> run_;
+  size_t run_head_ = 0;
   uint64_t occupied_ = 0;   ///< bit b set iff bucket b holds a key
-  uint64_t last_ = 0;       ///< bits of the last committed minimum
+  uint64_t last_ = 0;       ///< anchor: bits bounding the run from above
   size_t keys_ = 0;         ///< keys held, live + tombstoned
   std::vector<Slot> slots_;    ///< POD payload slab, indexed by Key::slot
   /// Side column for closure events, indexed by slot. Sized lazily: a run

@@ -9,7 +9,8 @@
 //    (the lazy-deletion leak the compactor exists to prevent).
 //  * Radix-heap edge cases: a RunUntil horizon before the earliest key,
 //    signed zero, infinite and extreme times, equal times reaching the
-//    front bucket by different routes, and key storage after a long hold.
+//    front run by different routes, key storage after a long hold, and a
+//    burst of events scheduled inside the span of a live front run.
 
 #include "sim/event_queue.h"
 
@@ -53,8 +54,19 @@ struct ReferenceModel {
   uint64_t next_seq = 0;
 };
 
+/// Times drawn as Now() + Below(steps) / per_unit. The dense case puts times
+/// on a 1/64 grid over a few time units, so many keys share a time.
+struct TimeGrid {
+  uint64_t seed;
+  uint64_t steps;
+  double per_unit;
+};
+
 TEST(EventQueuePropertyTest, MatchesMultimapReferenceUnderRandomMix) {
-  for (const uint64_t seed : {1ULL, 42ULL, 20260806ULL}) {
+  for (const TimeGrid& grid :
+       {TimeGrid{1, 1000, 16.0}, TimeGrid{42, 1000, 16.0},
+        TimeGrid{20260806, 1000, 16.0}, TimeGrid{5, 256, 64.0}}) {
+    const uint64_t seed = grid.seed;
     EventQueue q;
     ReferenceModel ref;
     MixRng rng(seed);
@@ -80,7 +92,7 @@ TEST(EventQueuePropertyTest, MatchesMultimapReferenceUnderRandomMix) {
 
     const auto schedule_one = [&] {
       const double t =
-          q.Now() + static_cast<double>(rng.Below(1000)) / 16.0;
+          q.Now() + static_cast<double>(rng.Below(grid.steps)) / grid.per_unit;
       const uint64_t id = next_id++;
       EventToken tok;
       if (rng.Below(2) == 0) {
@@ -280,10 +292,11 @@ struct RunLog {
   EventToken At(double t, uint64_t id) { return q.ScheduleHandler(t, kind, id); }
 };
 
-TEST(EventQueueRadixTest, HorizonBeforeEarliestKeyCommitsNothing) {
+TEST(EventQueueRadixTest, SchedulesBetweenHorizonAndEarliestKeyRunFirst) {
   // RunUntil(h) stops while the earliest key is after h, live or cancelled.
   // Drivers then schedule between h and that key; those events must run
-  // first, in (time, schedule order).
+  // first, in (time, schedule order), even though the refill that found
+  // that key may have anchored the heap after h.
   for (const bool tombstoned : {false, true}) {
     RunLog log;
     log.At(1.0, 1);
@@ -326,8 +339,21 @@ TEST(EventQueueRadixTest, EmptiedQueueAcceptsTimesBeforeDroppedMinimum) {
 TEST(EventQueueRadixTest, WindowedRunsMatchReference) {
   // A windowed driver: each window runs to its horizon, then schedules keys
   // anywhere from the horizon on, some exactly at it, while a random share
-  // of pending keys is cancelled.
-  for (const uint64_t seed : {3ULL, 77ULL}) {
+  // of pending keys is cancelled. Keys land up to steps / per_unit after
+  // the horizon, and a horizon moves by less than 48 / per_unit. In the
+  // dense case (1/64 grid, up to 160 keys a window) windows end inside the
+  // front run, so later schedules land in its middle, often enough to reach
+  // the run's re-anchor cap.
+  struct WindowGrid {
+    uint64_t seed;
+    uint64_t steps;
+    double per_unit;
+    uint64_t max_keys;
+  };
+  for (const WindowGrid& grid :
+       {WindowGrid{3, 400, 8.0, 40}, WindowGrid{77, 400, 8.0, 40},
+        WindowGrid{8, 64, 64.0, 160}}) {
+    const uint64_t seed = grid.seed;
     RunLog log;
     MixRng rng(seed);
     std::multimap<std::pair<double, uint64_t>, uint64_t> ref;
@@ -336,11 +362,13 @@ TEST(EventQueueRadixTest, WindowedRunsMatchReference) {
     uint64_t seq = 0;
     double horizon = 0.0;
     for (int window = 0; window < 300; ++window) {
-      const int n = static_cast<int>(rng.Below(40));
+      const int n = static_cast<int>(rng.Below(grid.max_keys));
       for (int i = 0; i < n; ++i) {
         const double t =
-            rng.Below(4) == 0 ? horizon
-                              : horizon + static_cast<double>(rng.Below(400)) / 8.0;
+            rng.Below(4) == 0
+                ? horizon
+                : horizon + static_cast<double>(rng.Below(grid.steps)) /
+                                grid.per_unit;
         const auto key = std::make_pair(t, seq);
         tokens.emplace_back(log.At(t, seq), key);
         ref.emplace(key, seq++);
@@ -353,7 +381,7 @@ TEST(EventQueueRadixTest, WindowedRunsMatchReference) {
           ref.erase(it);
         }
       }
-      horizon += static_cast<double>(rng.Below(24)) / 4.0;
+      horizon += static_cast<double>(rng.Below(24)) * 2.0 / grid.per_unit;
       log.q.RunUntil(horizon);
       while (!ref.empty() && ref.begin()->first.first <= horizon) {
         expected.push_back(ref.begin()->second);
@@ -406,10 +434,10 @@ TEST(EventQueueRadixTest, SignedZeroInfinityAndExtremeTimesRunInOrder) {
 }
 
 TEST(EventQueueRadixTest, EqualTimesFromRefillAndDirectPushKeepScheduleOrder) {
-  // Keys at t = 5 scheduled while the minimum was 0 and while it was 3 reach
-  // the front bucket together through a refill; keys scheduled while the
-  // minimum is 5 are pushed onto the front bucket directly. All of them run
-  // in schedule order.
+  // Keys at t = 5 scheduled before the first pop reach the front run through
+  // a refill; keys at t = 5 scheduled at t = 3 and at t = 5 are inserted
+  // into the run directly, after the equal keys already there. All of them
+  // run in schedule order.
   struct Cascade {
     RunLog log;
     uint64_t spawn = 0;
@@ -459,6 +487,39 @@ TEST(EventQueueRadixTest, KeyStorageFollowsPendingThroughLongHold) {
   EXPECT_EQ(q.pending(), kPending);
   EXPECT_LE(q.key_capacity(), kPending + kPending / 4)
       << "key storage grew beyond the keys held";
+}
+
+TEST(EventQueueRadixTest, BurstInsideFrontRunStaysFastAndOrdered) {
+  // 600 and 1000 share a bucket, so the first pop sorts both into the run
+  // and anchors it at 1000. Every key of the burst then falls inside the
+  // run's span. Without the re-anchor cap each insert shifts the whole run
+  // (about 100 s for this burst, past the test's ctest timeout); with it
+  // the burst goes to the buckets after 64 inserts.
+  RunLog log;
+  log.At(600.0, 0);
+  log.At(1000.0, 1);
+  ASSERT_TRUE(log.q.RunNext());
+  constexpr uint64_t kBurst = 1000000;
+  MixRng rng(14);
+  // Reference: (time, schedule order), the multimap order.
+  std::vector<std::pair<double, uint64_t>> ref;
+  ref.reserve(kBurst + 1);
+  ref.emplace_back(1000.0, 1);
+  for (uint64_t id = 2; id < kBurst + 2; ++id) {
+    const double t =
+        601.0 + static_cast<double>(1 + rng.Below(397999)) / 1000.0;
+    log.At(t, id);
+    ref.emplace_back(t, id);
+  }
+  std::sort(ref.begin(), ref.end());
+  while (log.q.RunNext()) {
+  }
+  ASSERT_EQ(log.ids.size(), ref.size() + 1);
+  EXPECT_EQ(log.ids[0], 0u);
+  for (size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(log.ids[i + 1], ref[i].second) << "position " << i + 1;
+    ASSERT_EQ(log.times[i + 1], ref[i].first) << "position " << i + 1;
+  }
 }
 
 }  // namespace
